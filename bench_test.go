@@ -408,6 +408,18 @@ func BenchmarkHistoryBuffer(b *testing.B) {
 	}
 }
 
+// takenFunc adapts a function to vm.BlockSink, calling it for each taken
+// branch of the block stream.
+type takenFunc func(src, tgt isa.Addr, kind vm.BranchKind)
+
+func (f takenFunc) BlockBatch(events []vm.BlockEvent) {
+	for _, ev := range events {
+		if ev.Taken {
+			f(ev.Src, ev.Tgt, ev.Kind)
+		}
+	}
+}
+
 // BenchmarkLEITraceFormation measures FORM-TRACE cost on a realistic
 // cyclic path.
 func BenchmarkLEITraceFormation(b *testing.B) {
@@ -416,7 +428,7 @@ func BenchmarkLEITraceFormation(b *testing.B) {
 	// program and keeping the last cycle at the hot header.
 	type ev struct{ src, tgt isa.Addr }
 	var events []ev
-	if _, err := vm.Run(prog, vm.Config{}, vm.SinkFunc(func(src, tgt isa.Addr, k vm.BranchKind) {
+	if _, err := vm.Run(prog, vm.Config{}, takenFunc(func(src, tgt isa.Addr, k vm.BranchKind) {
 		if len(events) < 4096 {
 			events = append(events, ev{src, tgt})
 		}

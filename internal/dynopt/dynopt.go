@@ -51,16 +51,9 @@ type Config struct {
 	// produced the run's report, with no second interpretation. Only Run
 	// consults it; the stream-driven entry points have the stream already.
 	Tap vm.BlockSink
-	// Machine, when set, supplies a reusable interpreter: Run re-targets
-	// it to the program (reusing its data memory and predecode buffers)
-	// instead of allocating a fresh Machine per run. Callers running many
-	// simulations back to back (the experiment harness) avoid re-allocating
-	// the memory image for every run.
-	Machine *vm.Machine
 	// Scratch, when set, pools every reusable piece of per-run state —
 	// interpreter, simulator, metrics collector, code cache, and report
-	// analyzer — across back-to-back runs. It subsumes Machine (which is
-	// then ignored).
+	// analyzer — across back-to-back runs.
 	Scratch *Scratch
 }
 
@@ -108,8 +101,8 @@ type Result struct {
 }
 
 // Simulator drives one program run under one selector. It implements both
-// vm.Sink (to consume the dynamic branch stream) and core.Env (to service
-// the selector).
+// vm.BlockSink (to consume the dynamic block stream) and core.Env (to
+// service the selector).
 type Simulator struct {
 	prog  *program.Program
 	cache *codecache.Cache
@@ -182,21 +175,10 @@ func (s *Simulator) Insert(spec codecache.Spec) (*codecache.Region, error) {
 // Fail implements core.Env.
 func (s *Simulator) Fail(err error) { s.errs = append(s.errs, err) }
 
-// TakenBranch implements vm.Sink: execution ran linearly from the current
-// position through src, then transferred to tgt.
-//
-//lint:hotpath per-taken-branch selector event path
-func (s *Simulator) TakenBranch(src, tgt isa.Addr, kind vm.BranchKind) {
-	s.advanceTo(src)
-	s.transfer(src, tgt, true, kind)
-	s.pos = tgt
-}
-
 // BlockBatch implements vm.BlockSink: each event is the completed execution
 // of exactly one basic block — the block led by the current position, whose
 // final instruction is the event's Src. Fall-through boundaries arrive
-// pre-resolved, so no block-table walking (advanceTo) is needed, and the
-// block length is a single subtraction.
+// pre-resolved, so the block length is a single subtraction.
 //
 //lint:hotpath batched block-event consumption
 func (s *Simulator) BlockBatch(events []vm.BlockEvent) {
@@ -207,26 +189,10 @@ func (s *Simulator) BlockBatch(events []vm.BlockEvent) {
 	}
 }
 
-// advanceTo processes fall-through block boundaries until the current
-// block ends exactly at src.
-func (s *Simulator) advanceTo(src isa.Addr) {
-	for {
-		end := s.prog.BlockEnd(s.pos)
-		if end-1 == src {
-			return
-		}
-		if end-1 > src {
-			panic(fmt.Sprintf("dynopt: branch source %d inside block [%d,%d)", src, s.pos, end))
-		}
-		s.transfer(end-1, end, false, 0)
-		s.pos = end
-	}
-}
-
 // transfer handles one control transfer out of the current block. src is
-// always the final instruction of the block led by s.pos (advanceTo and the
-// VM's block events both guarantee it), so the block length is a
-// subtraction, not a block-table lookup.
+// always the final instruction of the block led by s.pos (the block-event
+// protocol guarantees it), so the block length is a subtraction, not a
+// block-table lookup.
 func (s *Simulator) transfer(src, tgt isa.Addr, taken bool, kind vm.BranchKind) {
 	blockLen := int(src-s.pos) + 1
 	inCache := s.region != nil
@@ -307,54 +273,50 @@ func (s *Simulator) enter(r *codecache.Region) {
 }
 
 // finish accounts the final block, which ends with the halt instruction.
+// The block stream reports every earlier boundary, so the current position
+// already leads it.
 //
 //lint:hotpath run epilogue shares the transfer path
-func (s *Simulator) finish(finalPC isa.Addr) {
-	for {
-		end := s.prog.BlockEnd(s.pos)
-		if end-1 >= finalPC {
-			break
-		}
-		s.transfer(end-1, end, false, 0)
-		s.pos = end
-	}
-	s.col.Block(s.prog.BlockLen(s.pos), s.region != nil)
+func (s *Simulator) finish() {
+	n := s.prog.BlockLen(s.pos)
+	s.col.Block(n, s.region != nil)
 	if s.region != nil {
-		s.region.ExecInstrs += uint64(s.prog.BlockLen(s.pos))
+		s.region.ExecInstrs += uint64(n)
 	}
 }
 
-// RunStream drives the simulator from an already-collected taken-branch
-// stream instead of interpreting the program live — the decoupling the
-// paper's Pin-based framework used. feed must push the stream into the
-// provided sink and return the run's final halt address and instruction
-// count (for cross-checking; pass 0 to skip the check).
-func RunStream(p *program.Program, cfg Config, feed func(vm.Sink) (finalPC isa.Addr, instrs uint64, err error)) (Result, error) {
+// beginRun validates cfg and prepares the simulator every run path drives,
+// restoring the preloaded code cache when one is configured.
+func beginRun(p *program.Program, cfg Config) (*Simulator, error) {
 	if cfg.Selector == nil {
-		return Result{}, errors.New("dynopt: no selector configured")
+		return nil, errors.New("dynopt: no selector configured")
 	}
 	sim := NewSimulator(p, cfg)
 	if len(cfg.Preload) > 0 {
 		if err := sim.cache.Restore(cfg.Preload); err != nil {
-			return Result{}, fmt.Errorf("dynopt: preloading cache: %w", err)
+			return nil, fmt.Errorf("dynopt: preloading cache: %w", err)
 		}
 	}
-	finalPC, instrs, err := feed(sim)
-	if err != nil {
-		return Result{}, fmt.Errorf("dynopt: streaming: %w", err)
-	}
-	sim.finish(finalPC)
+	return sim, nil
+}
+
+// endRun closes a run whose events have all been delivered: it accounts
+// the final block, surfaces selector failures, cross-checks the simulator's
+// instruction attribution against st (st.Instrs 0 skips the check), and
+// analyzes the report.
+func endRun(sim *Simulator, cfg Config, st vm.Stats) (Result, error) {
+	sim.finish()
 	if len(sim.errs) > 0 {
 		return Result{}, errors.Join(sim.errs...)
 	}
-	if instrs != 0 && sim.col.TotalInstrs != instrs {
-		return Result{}, fmt.Errorf("dynopt: attribution mismatch: simulator saw %d instructions, stream recorded %d",
-			sim.col.TotalInstrs, instrs)
+	if st.Instrs != 0 && sim.col.TotalInstrs != st.Instrs {
+		return Result{}, fmt.Errorf("dynopt: attribution mismatch: simulator saw %d instructions, the run reported %d",
+			sim.col.TotalInstrs, st.Instrs)
 	}
-	report := analyzeRun(sim, cfg)
+	st.Instrs = sim.col.TotalInstrs
 	return Result{
-		Report:    report,
-		VMStats:   vm.Stats{Instrs: sim.col.TotalInstrs, FinalPC: finalPC},
+		Report:    analyzeRun(sim, cfg),
+		VMStats:   st,
 		Cache:     sim.cache,
 		Collector: sim.col,
 	}, nil
@@ -373,80 +335,56 @@ func analyzeRun(sim *Simulator, cfg Config) metrics.Report {
 	return report
 }
 
-// RunEvents drives the simulator from a fully decoded block-event stream —
-// the corpus replay path. It is RunStream without the feed closure, so
-// pooled callers (sweep shards replaying a shared tracestream.Corpus) stay
-// allocation-free in steady state. finalPC and instrs are the recorded
-// run's halt address and instruction count (instrs 0 skips the
-// attribution cross-check, matching RunStream).
-//
-//lint:hotpath corpus replay drives the batched event path
-func RunEvents(p *program.Program, cfg Config, events []vm.BlockEvent, finalPC isa.Addr, instrs uint64) (Result, error) {
-	if cfg.Selector == nil {
-		return Result{}, errors.New("dynopt: no selector configured")
-	}
-	sim := NewSimulator(p, cfg)
-	if len(cfg.Preload) > 0 {
-		if err := sim.cache.Restore(cfg.Preload); err != nil {
-			return Result{}, fmt.Errorf("dynopt: preloading cache: %w", err)
-		}
-	}
-	sim.BlockBatch(events)
-	sim.finish(finalPC)
-	if len(sim.errs) > 0 {
-		return Result{}, errors.Join(sim.errs...)
-	}
-	if instrs != 0 && sim.col.TotalInstrs != instrs {
-		return Result{}, fmt.Errorf("dynopt: attribution mismatch: simulator saw %d instructions, stream recorded %d",
-			sim.col.TotalInstrs, instrs)
-	}
-	report := analyzeRun(sim, cfg)
-	return Result{
-		Report:    report,
-		VMStats:   vm.Stats{Instrs: sim.col.TotalInstrs, FinalPC: finalPC},
-		Cache:     sim.cache,
-		Collector: sim.col,
-	}, nil
-}
-
 // Run interprets the program to completion under the configured selector
 // and returns the full metric report.
 func Run(p *program.Program, cfg Config) (Result, error) {
-	if cfg.Selector == nil {
-		return Result{}, errors.New("dynopt: no selector configured")
+	sim, err := beginRun(p, cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	sim := NewSimulator(p, cfg)
-	if len(cfg.Preload) > 0 {
-		if err := sim.cache.Restore(cfg.Preload); err != nil {
-			return Result{}, fmt.Errorf("dynopt: preloading cache: %w", err)
-		}
-	}
-	machine := cfg.Machine
+	var machine *vm.Machine
 	if cfg.Scratch != nil {
 		machine = &cfg.Scratch.machine
-	}
-	if machine != nil {
 		machine.Load(p, cfg.VM)
 	} else {
 		machine = vm.New(p, cfg.VM)
 	}
-	stats, err := machine.Run(vm.Tee(sim, cfg.Tap))
+	st, err := machine.Run(vm.Tee(sim, cfg.Tap))
 	if err != nil {
 		return Result{}, fmt.Errorf("dynopt: interpreting program: %w", err)
 	}
-	sim.finish(stats.FinalPC)
-	if len(sim.errs) > 0 {
-		return Result{}, errors.Join(sim.errs...)
+	return endRun(sim, cfg, st)
+}
+
+// RunEvents drives the simulator from a fully decoded block-event stream —
+// the corpus replay path. finalPC and instrs are the recorded run's halt
+// address and instruction count (instrs 0 skips the attribution
+// cross-check). Pooled callers (sweep shards replaying a shared
+// tracestream.Corpus) stay allocation-free in steady state.
+//
+//lint:hotpath corpus replay drives the batched event path
+func RunEvents(p *program.Program, cfg Config, events []vm.BlockEvent, finalPC isa.Addr, instrs uint64) (Result, error) {
+	sim, err := beginRun(p, cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	if sim.col.TotalInstrs != stats.Instrs {
-		return Result{}, fmt.Errorf("dynopt: attribution mismatch: simulator saw %d instructions, vm executed %d",
-			sim.col.TotalInstrs, stats.Instrs)
+	sim.BlockBatch(events)
+	return endRun(sim, cfg, vm.Stats{Instrs: instrs, FinalPC: finalPC})
+}
+
+// RunStream drives the simulator from an already-collected block-event
+// stream instead of interpreting the program live — the decoupling the
+// paper's Pin-based framework used. feed must push the stream into the
+// provided sink (tracestream.Reader.Feed does) and return the run's final
+// halt address and instruction count (instrs 0 skips the cross-check).
+func RunStream(p *program.Program, cfg Config, feed func(vm.BlockSink) (finalPC isa.Addr, instrs uint64, err error)) (Result, error) {
+	sim, err := beginRun(p, cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	report := analyzeRun(sim, cfg)
-	return Result{
-		Report:    report,
-		VMStats:   stats,
-		Cache:     sim.cache,
-		Collector: sim.col,
-	}, nil
+	finalPC, instrs, err := feed(sim)
+	if err != nil {
+		return Result{}, fmt.Errorf("dynopt: streaming: %w", err)
+	}
+	return endRun(sim, cfg, vm.Stats{Instrs: instrs, FinalPC: finalPC})
 }

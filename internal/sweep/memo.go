@@ -127,17 +127,17 @@ func (m *memoTable) Record(shard *Shard, p *program.Program, job Job) (metrics.R
 		return shard.Run(p, job)
 	}
 	rec := tracestream.NewMemRecorder(p, job.Workload, job.Scale)
-	rep, st, err := shard.RunTapped(p, job, rec)
+	res, err := shard.run(p, nil, job, rec)
 	if err != nil {
 		m.release(key, false)
 		return metrics.Report{}, err
 	}
-	admitted := m.budget.Add(tracestream.MemKey{Workload: job.Workload, Scale: job.Scale}, rec.Corpus(st))
+	admitted := m.budget.Add(tracestream.MemKey{Workload: job.Workload, Scale: job.Scale}, rec.Corpus(res.VMStats))
 	// A corpus the budget cannot hold at all would be re-taped on every
 	// future miss of the cell; marking the cell dead degrades it to plain
 	// live execution instead.
 	m.release(key, !admitted)
-	return rep, nil
+	return res.Report, nil
 }
 
 // claim takes the recording claim for a cell. A false return means another

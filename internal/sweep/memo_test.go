@@ -164,17 +164,25 @@ func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 func TestRunnerMemoPersistsAcrossRuns(t *testing.T) {
 	g := memoTestGrid([]string{"gzip"})
 	r := NewRunner()
-	for i := 0; i < 2; i++ {
+	run := func() MemoStats {
+		t.Helper()
 		if err := r.RunGrid(context.Background(), g, Options{Shards: 2}, &CollectSink{}); err != nil {
 			t.Fatal(err)
 		}
+		return r.MemoStats()
 	}
-	st := r.MemoStats()
-	if st.Misses != 1 {
-		t.Errorf("two runs missed %d times, want 1 (second run fully replayed)", st.Misses)
+	// Both shards may first-touch the cold cell: one records it, and each
+	// loser's live fallback counts as a miss too.
+	first := run()
+	if first.Misses != 1+first.Fallbacks {
+		t.Errorf("first run: Misses = %d, want 1 recording + %d fallbacks", first.Misses, first.Fallbacks)
 	}
-	if want := uint64(2*g.NumJobs() - 1); st.Hits != want {
-		t.Errorf("Hits = %d, want %d", st.Hits, want)
+	second := run()
+	if d := second.Misses - first.Misses; d != 0 {
+		t.Errorf("second run missed %d times, want 0 (fully replayed)", d)
+	}
+	if d, want := second.Hits-first.Hits, uint64(g.NumJobs()); d != want {
+		t.Errorf("second run hit %d times, want %d", d, want)
 	}
 }
 

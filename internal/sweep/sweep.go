@@ -169,35 +169,8 @@ func (s *Shard) selector(name string, params core.Params) (core.Selector, error)
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Run(p *program.Program, job Job) (metrics.Report, error) {
-	rep, _, err := s.RunTapped(p, job, nil)
-	return rep, err
-}
-
-// RunTapped is Run with a copy of the VM's block-event stream fanned out to
-// tap (nil taps nothing — the VM feeds the simulator alone), returning the
-// run's vm.Stats alongside the report so a recording caller (the memo
-// layer, memo.go) can stamp the run totals into the captured stream's
-// header. The tap only observes; the report is identical with or without
-// one.
-//
-//lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
-func (s *Shard) RunTapped(p *program.Program, job Job, tap vm.BlockSink) (metrics.Report, vm.Stats, error) {
-	sel, err := s.selector(job.Selector, job.Params)
-	if err != nil {
-		return metrics.Report{}, vm.Stats{}, err
-	}
-	res, err := dynopt.Run(p, dynopt.Config{
-		Selector:        sel,
-		VM:              vm.Config{},
-		CacheLimitBytes: job.CacheLimitBytes,
-		Scratch:         &s.scratch,
-		Tap:             tap,
-	})
-	if err != nil {
-		return metrics.Report{}, vm.Stats{}, err
-	}
-	res.Report.Workload = job.Workload
-	return res.Report, res.VMStats, nil
+	res, err := s.run(p, nil, job, nil)
+	return res.Report, err
 }
 
 // Replay executes one job against a decoded trace corpus instead of a live
@@ -207,21 +180,39 @@ func (s *Shard) RunTapped(p *program.Program, job Job, tap vm.BlockSink) (metric
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Replay(c *tracestream.Corpus, job Job) (metrics.Report, error) {
+	res, err := s.run(nil, c, job, nil)
+	return res.Report, err
+}
+
+// run is the shard's one job path: it acquires the job's pooled selector,
+// replays c when it is set and otherwise runs p live with a copy of the VM's
+// block-event stream fanned out to tap (nil taps nothing), and stamps the
+// job's workload on the report. The recording caller (the memo layer,
+// memo.go) taps the live run and reads the run totals from the result's
+// VMStats; the tap only observes, so the report is identical either way.
+func (s *Shard) run(p *program.Program, c *tracestream.Corpus, job Job, tap vm.BlockSink) (dynopt.Result, error) {
 	sel, err := s.selector(job.Selector, job.Params)
 	if err != nil {
-		return metrics.Report{}, err
+		return dynopt.Result{}, err
 	}
-	h := c.Stream.Header
-	res, err := dynopt.RunEvents(c.Prog, dynopt.Config{
+	cfg := dynopt.Config{
 		Selector:        sel,
 		CacheLimitBytes: job.CacheLimitBytes,
 		Scratch:         &s.scratch,
-	}, c.Stream.Events, h.FinalPC, h.Instrs)
+		Tap:             tap,
+	}
+	var res dynopt.Result
+	if c != nil {
+		h := c.Stream.Header
+		res, err = dynopt.RunEvents(c.Prog, cfg, c.Stream.Events, h.FinalPC, h.Instrs)
+	} else {
+		res, err = dynopt.Run(p, cfg)
+	}
 	if err != nil {
-		return metrics.Report{}, err
+		return dynopt.Result{}, err
 	}
 	res.Report.Workload = job.Workload
-	return res.Report, nil
+	return res, nil
 }
 
 // runnable is a resolved job input: a built program for registered

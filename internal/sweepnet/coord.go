@@ -225,7 +225,11 @@ func (c *coordinator) runWorker(ctx context.Context, addr string) {
 	}()
 	conn, err := c.opts.Dial(ctx, addr)
 	if err != nil {
-		c.fail(fmt.Errorf("sweepnet: dial %s: %w", addr, err))
+		// A dial cut short by the run ending — finished by the other
+		// workers, or cancelled (which RunGrid reports) — is no failure.
+		if ctx.Err() == nil {
+			c.fail(fmt.Errorf("sweepnet: dial %s: %w", addr, err))
+		}
 		return
 	}
 	defer conn.Close()

@@ -186,10 +186,23 @@ func TestWorkerKillReassign(t *testing.T) {
 	// ranges, so the coordinator must reassign from the watermark.
 	proxy := startKillingProxy(t, addr2, 100)
 	defer proxy.ln.Close()
+	// Hold the healthy worker's dial until the kill, so it cannot finish
+	// the whole grid before the proxied worker has sent 100 bytes.
+	var d net.Dialer
+	dial := func(ctx context.Context, addr string) (net.Conn, error) {
+		for addr == addr1 && !proxy.killed.Load() {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(time.Millisecond):
+			}
+		}
+		return d.DialContext(ctx, "tcp", addr)
+	}
 
 	var remote sweep.CollectSink
 	err := RunGrid(context.Background(), []string{addr1, proxy.addr()}, g,
-		Options{Chunk: 2}, &remote)
+		Options{Chunk: 2, Dial: dial}, &remote)
 	if err != nil {
 		t.Fatalf("run with one killed worker failed: %v", err)
 	}
@@ -199,6 +212,31 @@ func TestWorkerKillReassign(t *testing.T) {
 	if !reflect.DeepEqual(remote.Results, local.Results) {
 		t.Fatalf("output after worker kill differs from local run (%d vs %d results)",
 			len(remote.Results), len(local.Results))
+	}
+}
+
+// TestPendingDialAfterFinish: a dial still pending when another worker
+// finishes the grid is cut short by the run ending, not a failure — RunGrid
+// returns nil with every result delivered.
+func TestPendingDialAfterFinish(t *testing.T) {
+	addr, stop := startWorker(t, ServerOptions{Shards: 2, Heartbeat: 50 * time.Millisecond})
+	defer stop()
+	const stuck = "stuck.invalid:1"
+	var d net.Dialer
+	dial := func(ctx context.Context, a string) (net.Conn, error) {
+		if a == stuck {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return d.DialContext(ctx, "tcp", a)
+	}
+	g := testGrid()
+	var remote sweep.CollectSink
+	if err := RunGrid(context.Background(), []string{stuck, addr}, g, Options{Chunk: 2, Dial: dial}, &remote); err != nil {
+		t.Fatalf("completed grid returned %v", err)
+	}
+	if len(remote.Results) != g.NumJobs() {
+		t.Fatalf("delivered %d results, want %d", len(remote.Results), g.NumJobs())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/vm"
 )
@@ -36,13 +35,6 @@ func NewMemRecorder(p *program.Program, workload string, scale int) *MemRecorder
 		},
 		prog: p,
 	}
-}
-
-// TakenBranch implements vm.Sink. The VM never routes through it when the
-// sink implements BlockSink, but a caller fanning out a plain taken-branch
-// stream can: the event is recorded as a taken block boundary.
-func (r *MemRecorder) TakenBranch(src, tgt isa.Addr, kind vm.BranchKind) {
-	r.events = append(r.events, vm.BlockEvent{Src: src, Tgt: tgt, Kind: kind, Taken: true})
 }
 
 // BlockBatch implements vm.BlockSink, appending the batch to the arena. The

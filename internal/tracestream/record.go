@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/vm"
 )
@@ -35,13 +34,6 @@ func NewRecorder(p *program.Program, workload string, scale int) *Recorder {
 
 // Reset discards buffered events for a fresh recording of the same program.
 func (r *Recorder) Reset() { r.enc.Reset() }
-
-// TakenBranch implements vm.Sink. The VM never routes through it when the
-// sink implements BlockSink, but a caller fanning out a plain taken-branch
-// stream can: the event is recorded as a taken block boundary.
-func (r *Recorder) TakenBranch(src, tgt isa.Addr, kind vm.BranchKind) {
-	r.enc.add(src, tgt, kind, true)
-}
 
 // BlockBatch implements vm.BlockSink, encoding the batch.
 //

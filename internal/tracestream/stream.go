@@ -6,7 +6,8 @@
 // entirely.
 //
 // The selectors only ever consume block-boundary events — DESIGN.md's core
-// substitution argument, reified by dynopt.RunStream — so a recording
+// substitution argument. dynopt has one run path whatever the event source
+// (a live machine, a decoded slice, or Reader.Feed), so a recording
 // replays to a metrics.Report byte-identical to the live VM run while
 // skipping dispatch, arithmetic, and memory simulation altogether
 // (TestReplayMatchesLive pins this for every registered workload under all
@@ -139,30 +140,23 @@ func (e *Encoder) putU(v uint64) {
 	e.buf = append(e.buf, byte(v))
 }
 
-// add encodes one block event.
-//
-//lint:hotpath per-event stream encoding (TestStreamCodecAllocFree)
-func (e *Encoder) add(src, tgt isa.Addr, kind vm.BranchKind, taken bool) {
-	tag := uint64(0)
-	if taken {
-		tag = uint64(kind) + 1
-	}
-	e.putU(zz(int64(src)-e.prevSrc)<<3 | tag)
-	if taken {
-		e.putU(zz(int64(tgt) - e.prevTgt))
-		e.branches++
-	}
-	e.prevSrc, e.prevTgt = int64(src), int64(tgt)
-	e.events++
-}
-
 // AddBatch encodes a batch of block events in order.
 //
 //lint:hotpath per-batch stream encoding (TestStreamCodecAllocFree)
 func (e *Encoder) AddBatch(events []vm.BlockEvent) {
 	for i := range events {
 		ev := &events[i]
-		e.add(ev.Src, ev.Tgt, ev.Kind, ev.Taken)
+		tag := uint64(0)
+		if ev.Taken {
+			tag = uint64(ev.Kind) + 1
+		}
+		e.putU(zz(int64(ev.Src)-e.prevSrc)<<3 | tag)
+		if ev.Taken {
+			e.putU(zz(int64(ev.Tgt) - e.prevTgt))
+			e.branches++
+		}
+		e.prevSrc, e.prevTgt = int64(ev.Src), int64(ev.Tgt)
+		e.events++
 	}
 }
 
@@ -375,33 +369,21 @@ func (d *Reader) Next(dst []vm.BlockEvent) (int, error) {
 // simulator processes events one by one).
 const feedBatch = 1024
 
-// Feed streams the whole recording into sink and returns the recorded run's
+// Feed streams the whole recording into sink in batches, fall-throughs
+// included, mirroring a live vm.Machine.Run, and returns the recorded run's
 // final PC and instruction count — the exact signature dynopt.RunStream
-// expects of its feed function. When sink implements vm.BlockSink the
-// events are delivered in batches, fall-throughs included, mirroring a live
-// vm.Machine.Run; a plain vm.Sink receives one TakenBranch call per taken
-// event, mirroring the VM's unbatched path.
+// expects of its feed function.
 //
 //lint:hotpath streaming replay feed (TestStreamCodecAllocFree)
-func (d *Reader) Feed(sink vm.Sink) (isa.Addr, uint64, error) {
+func (d *Reader) Feed(sink vm.BlockSink) (isa.Addr, uint64, error) {
 	if cap(d.batch) == 0 {
 		d.batch = make([]vm.BlockEvent, feedBatch)
 	}
 	batch := d.batch[:cap(d.batch)]
-	bs, _ := sink.(vm.BlockSink)
 	for {
 		n, err := d.Next(batch)
 		if n > 0 {
-			if bs != nil {
-				bs.BlockBatch(batch[:n])
-			} else if sink != nil {
-				for i := range batch[:n] {
-					ev := &batch[i]
-					if ev.Taken {
-						sink.TakenBranch(ev.Src, ev.Tgt, ev.Kind)
-					}
-				}
-			}
+			sink.BlockBatch(batch[:n])
 		}
 		if err == io.EOF {
 			return d.h.FinalPC, d.h.Instrs, nil

@@ -11,10 +11,10 @@ import (
 
 // referenceRun is the seed interpreter kept verbatim as an executable
 // specification: a per-step fetch from the Program with a switch dispatch
-// and per-branch validation. The predecoded dispatch loop in Run must
-// produce the identical taken-branch stream, statistics, and error for any
-// program.
-func referenceRun(m *Machine, sink Sink) (Stats, error) {
+// and per-branch validation, reporting each taken branch to sink. The
+// predecoded dispatch loop in Run must produce the identical taken-branch
+// stream, statistics, and error for any program.
+func referenceRun(m *Machine, sink func(src, tgt isa.Addr, kind BranchKind)) (Stats, error) {
 	var st Stats
 	pc := m.prog.Entry()
 	p := m.prog
@@ -27,7 +27,7 @@ func referenceRun(m *Machine, sink Sink) (Stats, error) {
 		}
 		st.Branches++
 		if sink != nil {
-			sink.TakenBranch(src, tgt, kind)
+			sink(src, tgt, kind)
 		}
 		return nil
 	}
@@ -173,21 +173,22 @@ func corpus(t *testing.T) map[string]*program.Program {
 }
 
 // TestPredecodedMatchesReference proves the predecoded dispatch loop is
-// observationally identical to the seed interpreter: same taken-branch
-// stream (addresses and kinds), same statistics, same final register file,
-// for every workload and a corpus of random structured programs.
+// observationally identical to the seed interpreter: the block stream
+// filtered to taken branches is the reference's taken-branch stream
+// (addresses and kinds), with the same statistics, error, and final
+// register file, for every workload and a corpus of random structured
+// programs.
 func TestPredecodedMatchesReference(t *testing.T) {
 	for name, p := range corpus(t) {
 		t.Run(name, func(t *testing.T) {
-			var got, want []event
+			var want []event
 			mNew := New(p, Config{})
-			stNew, errNew := mNew.Run(SinkFunc(func(src, tgt isa.Addr, kind BranchKind) {
-				got = append(got, event{src, tgt, kind})
-			}))
+			rec := &recorder{}
+			stNew, errNew := mNew.Run(rec)
 			mRef := New(p, Config{})
-			stRef, errRef := referenceRun(mRef, SinkFunc(func(src, tgt isa.Addr, kind BranchKind) {
+			stRef, errRef := referenceRun(mRef, func(src, tgt isa.Addr, kind BranchKind) {
 				want = append(want, event{src, tgt, kind})
-			}))
+			})
 			if (errNew == nil) != (errRef == nil) {
 				t.Fatalf("error mismatch: predecoded %v, reference %v", errNew, errRef)
 			}
@@ -197,6 +198,7 @@ func TestPredecodedMatchesReference(t *testing.T) {
 			if stNew != stRef {
 				t.Fatalf("stats mismatch: predecoded %+v, reference %+v", stNew, stRef)
 			}
+			got := rec.events
 			if len(got) != len(want) {
 				t.Fatalf("event count mismatch: predecoded %d, reference %d", len(got), len(want))
 			}
@@ -215,39 +217,25 @@ func TestPredecodedMatchesReference(t *testing.T) {
 	}
 }
 
-// batchRecorder collects both views of the stream.
-type batchRecorder struct {
-	branches []event
-	blocks   []BlockEvent
-}
+// blockRecorder collects the whole block stream.
+type blockRecorder struct{ blocks []BlockEvent }
 
-func (r *batchRecorder) TakenBranch(src, tgt isa.Addr, kind BranchKind) {
-	r.branches = append(r.branches, event{src, tgt, kind})
-}
-
-func (r *batchRecorder) BlockBatch(events []BlockEvent) {
+func (r *blockRecorder) BlockBatch(events []BlockEvent) {
 	r.blocks = append(r.blocks, events...)
 }
 
-// TestBlockStreamMatchesBranchStream proves the batched block-event stream
-// is a refinement of the taken-branch stream: filtering the block events to
-// taken branches yields exactly the TakenBranch stream, and every event's
+// TestBlockStreamMatchesBranchStream proves the block stream refines the
+// taken-branch stream TestPredecodedMatchesReference checks: every event's
 // Src is the final instruction of the block led by the preceding event's
-// Tgt (fall-through boundaries resolved correctly).
+// Tgt, every Tgt is a leader, and fall-throughs continue at the next
+// address (fall-through boundaries resolved correctly).
 func TestBlockStreamMatchesBranchStream(t *testing.T) {
 	for name, p := range corpus(t) {
 		t.Run(name, func(t *testing.T) {
-			var branchOnly []event
-			if _, err := New(p, Config{}).Run(SinkFunc(func(src, tgt isa.Addr, kind BranchKind) {
-				branchOnly = append(branchOnly, event{src, tgt, kind})
-			})); err != nil {
-				t.Fatal(err)
-			}
-			rec := &batchRecorder{}
+			rec := &blockRecorder{}
 			if _, err := New(p, Config{}).Run(rec); err != nil {
 				t.Fatal(err)
 			}
-			var taken []event
 			pos := p.Entry()
 			for i, ev := range rec.blocks {
 				if p.BlockEnd(pos)-1 != ev.Src {
@@ -259,18 +247,7 @@ func TestBlockStreamMatchesBranchStream(t *testing.T) {
 				if !ev.Taken && ev.Tgt != ev.Src+1 {
 					t.Fatalf("block event %d: fall-through to %d from %d", i, ev.Tgt, ev.Src)
 				}
-				if ev.Taken {
-					taken = append(taken, event{ev.Src, ev.Tgt, ev.Kind})
-				}
 				pos = ev.Tgt
-			}
-			if len(taken) != len(branchOnly) {
-				t.Fatalf("taken count mismatch: blocks %d, branches %d", len(taken), len(branchOnly))
-			}
-			for i := range taken {
-				if taken[i] != branchOnly[i] {
-					t.Fatalf("taken event %d mismatch: %+v vs %+v", i, taken[i], branchOnly[i])
-				}
 			}
 		})
 	}
@@ -288,19 +265,16 @@ func TestMachineLoadReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	reused.Load(b, Config{})
-	var got, want []event
-	stGot, err := reused.Run(SinkFunc(func(src, tgt isa.Addr, kind BranchKind) {
-		got = append(got, event{src, tgt, kind})
-	}))
+	gotRec, wantRec := &recorder{}, &recorder{}
+	stGot, err := reused.Run(gotRec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stWant, err := New(b, Config{}).Run(SinkFunc(func(src, tgt isa.Addr, kind BranchKind) {
-		want = append(want, event{src, tgt, kind})
-	}))
+	stWant, err := New(b, Config{}).Run(wantRec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, want := gotRec.events, wantRec.events
 	if stGot != stWant {
 		t.Fatalf("stats mismatch after Load: %+v vs %+v", stGot, stWant)
 	}

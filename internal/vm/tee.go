@@ -1,7 +1,5 @@
 package vm
 
-import "repro/internal/isa"
-
 // teeSink fans the dynamic stream out to two block sinks.
 type teeSink struct {
 	a, b BlockSink
@@ -21,12 +19,6 @@ func Tee(a, b BlockSink) BlockSink {
 		return a
 	}
 	return &teeSink{a: a, b: b}
-}
-
-// TakenBranch implements Sink.
-func (t *teeSink) TakenBranch(src, tgt isa.Addr, kind BranchKind) {
-	t.a.TakenBranch(src, tgt, kind)
-	t.b.TakenBranch(src, tgt, kind)
 }
 
 // BlockBatch implements BlockSink.

@@ -1,10 +1,10 @@
 // Package vm interprets programs for the region-selection simulator.
 //
 // The interpreter plays the role Pin played in the paper: it produces the
-// dynamic sequence of taken branches (and, implicitly, the linear
-// fall-through segments between them) that the simulated dynamic
-// optimization system consumes. Execution is fully deterministic: all
-// branch behaviour comes from the program's own computation.
+// sequence of basic blocks executed — every block boundary, taken branch or
+// fall-through — that the simulated dynamic optimization system consumes.
+// Execution is fully deterministic: all branch behaviour comes from the
+// program's own computation.
 package vm
 
 import (
@@ -53,20 +53,6 @@ func (k BranchKind) String() string {
 	}
 }
 
-// Sink receives the dynamic taken-branch stream. Between two consecutive
-// calls, execution proceeded linearly from the previous call's tgt through
-// the current call's src (inclusive); any conditional branches inside that
-// range fell through.
-type Sink interface {
-	TakenBranch(src, tgt isa.Addr, kind BranchKind)
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(src, tgt isa.Addr, kind BranchKind)
-
-// TakenBranch calls f.
-func (f SinkFunc) TakenBranch(src, tgt isa.Addr, kind BranchKind) { f(src, tgt, kind) }
-
 // BlockEvent describes the completed execution of one basic block: the
 // block whose final instruction is Src transferred control to the leader
 // Tgt. Taken distinguishes taken branches from fall-through boundaries;
@@ -78,16 +64,14 @@ type BlockEvent struct {
 	Taken bool
 }
 
-// BlockSink is an optional Sink extension. When the sink passed to Run
-// implements BlockSink, the machine delivers the dynamic stream as batches
-// of per-block boundary events — every block boundary, fall-throughs
-// included — instead of one TakenBranch call per taken branch. Consumers
-// that track basic blocks (the dynopt simulator) avoid re-deriving
+// BlockSink receives the dynamic stream from Run as batches of per-block
+// boundary events — every block boundary, fall-throughs included — so
+// consumers that track basic blocks (the dynopt simulator) never re-derive
 // fall-through boundaries from the program, and the interface-call cost is
 // amortized over the batch. Events arrive in execution order; the slice is
-// reused between batches and must not be retained.
+// reused between batches and must not be retained. Consumers that want
+// only taken branches filter on BlockEvent.Taken.
 type BlockSink interface {
-	Sink
 	BlockBatch(events []BlockEvent)
 }
 
@@ -282,10 +266,9 @@ func (m *Machine) wrap(i int64) int64 {
 	return i
 }
 
-// Run interprets the program from its entry until Halt, streaming taken
-// branches to sink. sink may be nil. When sink implements BlockSink, the
-// stream is delivered as batched per-block boundary events instead (see
-// BlockSink); buffered events are flushed before every return.
+// Run interprets the program from its entry until Halt, streaming batched
+// block events to sink (see BlockSink). sink may be nil; Stats are counted
+// either way. Buffered events are flushed before every return.
 //
 // The dispatch loop fetches from the predecoded instruction array: direct
 // branch targets were validated at load time (program construction
@@ -294,21 +277,20 @@ func (m *Machine) wrap(i int64) int64 {
 // instruction rather than a per-step bounds test.
 //
 //lint:hotpath interpreter dispatch loop
-func (m *Machine) Run(sink Sink) (Stats, error) {
+func (m *Machine) Run(sink BlockSink) (Stats, error) {
 	var st Stats
 	pc := m.prog.Entry()
 	code := m.code
 	progLen := len(code) - 1
 	maxInstrs := m.cfg.MaxInstrs
 	maxDepth := m.cfg.MaxCallDepth
-	bs, _ := sink.(BlockSink)
-	if bs != nil && cap(m.batch) == 0 {
+	if sink != nil && cap(m.batch) == 0 {
 		m.batch = make([]BlockEvent, 0, batchCap)
 	}
 	batch := m.batch[:0]
 	for {
 		if st.Instrs >= maxInstrs {
-			m.finishBatch(bs, batch)
+			m.finishBatch(sink, batch)
 			return st, fmt.Errorf("%w after %d instructions at %d", ErrMaxInstrs, st.Instrs, pc)
 		}
 		in := &code[pc]
@@ -320,7 +302,7 @@ func (m *Machine) Run(sink Sink) (Stats, error) {
 		case isa.Nop:
 		case isa.Halt:
 			st.FinalPC = pc
-			m.finishBatch(bs, batch)
+			m.finishBatch(sink, batch)
 			return st, nil
 		case isa.MovImm:
 			m.regs[in.dst] = in.imm
@@ -375,7 +357,7 @@ func (m *Machine) Run(sink Sink) (Stats, error) {
 			}
 		case isa.Call:
 			if len(m.ras) >= maxDepth {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
 			}
 			m.ras = append(m.ras, pc+1)
@@ -383,45 +365,45 @@ func (m *Machine) Run(sink Sink) (Stats, error) {
 		case isa.CallInd:
 			v := m.regs[in.srcA]
 			if v < 0 || int(isa.Addr(v)) >= progLen {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w: at %d, computed %d", ErrBadTarget, pc, v)
 			}
 			if len(m.ras) >= maxDepth {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
 			}
 			m.ras = append(m.ras, pc+1)
 			tgt = isa.Addr(v)
 			if !m.prog.IsBlockStart(tgt) {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
 			}
 			taken = true
 		case isa.JmpInd:
 			v := m.regs[in.srcA]
 			if v < 0 || int(isa.Addr(v)) >= progLen {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w: at %d, computed %d", ErrBadTarget, pc, v)
 			}
 			tgt = isa.Addr(v)
 			if !m.prog.IsBlockStart(tgt) {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
 			}
 			taken = true
 		case isa.Ret:
 			if len(m.ras) == 0 {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w at %d", ErrUnderflow, pc)
 			}
 			tgt = m.ras[len(m.ras)-1]
 			m.ras = m.ras[:len(m.ras)-1]
 			if int(tgt) >= progLen {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w: %d -> %d", ErrBadTarget, pc, tgt)
 			}
 			if !m.prog.IsBlockStart(tgt) {
-				m.finishBatch(bs, batch)
+				m.finishBatch(sink, batch)
 				return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
 			}
 			taken = true
@@ -430,30 +412,28 @@ func (m *Machine) Run(sink Sink) (Stats, error) {
 			// end, and a final call's return address lies past it; both
 			// are program bugs the machine reports rather than crashes on.
 			st.Instrs--
-			m.finishBatch(bs, batch)
+			m.finishBatch(sink, batch)
 			return st, fmt.Errorf("%w: fetch at %d", ErrBadTarget, pc)
 		default:
-			m.finishBatch(bs, batch)
+			m.finishBatch(sink, batch)
 			return st, fmt.Errorf("vm: unknown opcode %d at %d", in.op, pc)
 		}
 		if taken {
 			st.Branches++
-			if bs != nil {
+			if sink != nil {
 				batch = append(batch, BlockEvent{Src: pc, Tgt: tgt, Kind: in.kind, Taken: true})
 				if len(batch) == cap(batch) {
-					bs.BlockBatch(batch)
+					sink.BlockBatch(batch)
 					batch = batch[:0]
 				}
-			} else if sink != nil {
-				sink.TakenBranch(pc, tgt, in.kind)
 			}
 			pc = tgt
 			continue
 		}
-		if in.flags&flagEndsBlock != 0 && bs != nil && int(next) < progLen {
+		if in.flags&flagEndsBlock != 0 && sink != nil && int(next) < progLen {
 			batch = append(batch, BlockEvent{Src: pc, Tgt: next})
 			if len(batch) == cap(batch) {
-				bs.BlockBatch(batch)
+				sink.BlockBatch(batch)
 				batch = batch[:0]
 			}
 		}
@@ -462,14 +442,14 @@ func (m *Machine) Run(sink Sink) (Stats, error) {
 }
 
 // finishBatch flushes buffered block events and parks the buffer for reuse.
-func (m *Machine) finishBatch(bs BlockSink, batch []BlockEvent) {
-	if bs != nil && len(batch) > 0 {
-		bs.BlockBatch(batch)
+func (m *Machine) finishBatch(sink BlockSink, batch []BlockEvent) {
+	if sink != nil && len(batch) > 0 {
+		sink.BlockBatch(batch)
 	}
 	m.batch = batch[:0]
 }
 
 // Run is a convenience wrapper: interpret p once with cfg, streaming to sink.
-func Run(p *program.Program, cfg Config, sink Sink) (Stats, error) {
+func Run(p *program.Program, cfg Config, sink BlockSink) (Stats, error) {
 	return New(p, cfg).Run(sink)
 }

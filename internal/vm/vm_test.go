@@ -13,10 +13,15 @@ type event struct {
 	kind     BranchKind
 }
 
+// recorder collects the taken-branch view of the block stream.
 type recorder struct{ events []event }
 
-func (r *recorder) TakenBranch(src, tgt isa.Addr, kind BranchKind) {
-	r.events = append(r.events, event{src, tgt, kind})
+func (r *recorder) BlockBatch(events []BlockEvent) {
+	for _, ev := range events {
+		if ev.Taken {
+			r.events = append(r.events, event{ev.Src, ev.Tgt, ev.Kind})
+		}
+	}
 }
 
 func run(t *testing.T, p *program.Program, cfg Config) (Stats, *recorder, *Machine) {
@@ -318,17 +323,5 @@ func TestDeterminismAndReset(t *testing.T) {
 	}
 	if taken1 == 0 || taken1 == 1000 {
 		t.Errorf("LCG branch never varied: taken=%d/1000", taken1)
-	}
-}
-
-func TestSinkFunc(t *testing.T) {
-	b := program.NewBuilder()
-	b.Jmp("end")
-	b.Label("end")
-	b.Halt()
-	n := 0
-	_, err := Run(b.MustBuild(), Config{}, SinkFunc(func(isa.Addr, isa.Addr, BranchKind) { n++ }))
-	if err != nil || n != 1 {
-		t.Errorf("n = %d, err = %v", n, err)
 	}
 }

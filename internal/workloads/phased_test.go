@@ -14,11 +14,11 @@ func TestPhasedDeterministic(t *testing.T) {
 	if !programsIdentical(a, b) {
 		t.Fatal("same seed and size produced different programs")
 	}
-	sa, err := vm.New(a, vm.Config{}).Run(vm.SinkFunc(func(isa.Addr, isa.Addr, vm.BranchKind) {}))
+	sa, err := vm.New(a, vm.Config{}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := vm.New(b, vm.Config{}).Run(vm.SinkFunc(func(isa.Addr, isa.Addr, vm.BranchKind) {}))
+	sb, err := vm.New(b, vm.Config{}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPhasedDeterministic(t *testing.T) {
 func TestPhasedSizeTracksTarget(t *testing.T) {
 	for _, size := range []int{100_000, 400_000} {
 		p := Phased(0xFA5E, size)
-		stats, err := vm.New(p, vm.Config{}).Run(vm.SinkFunc(func(isa.Addr, isa.Addr, vm.BranchKind) {}))
+		stats, err := vm.New(p, vm.Config{}).Run(nil)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -65,7 +65,7 @@ func TestPhasedRegimesAreOrdered(t *testing.T) {
 	}
 	transitions, last, branches := 0, -1, 0
 	seen := [3]int{}
-	if _, err := vm.New(p, vm.Config{}).Run(vm.SinkFunc(func(src, _ isa.Addr, _ vm.BranchKind) {
+	if _, err := vm.New(p, vm.Config{}).Run(takenFunc(func(src, _ isa.Addr, _ vm.BranchKind) {
 		branches++
 		ph := phaseOf(src)
 		if ph < 0 {

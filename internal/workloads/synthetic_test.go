@@ -20,13 +20,25 @@ func programsIdentical(a, b *program.Program) bool {
 	return true
 }
 
+// takenFunc adapts a function to vm.BlockSink, calling it for each taken
+// branch of the block stream.
+type takenFunc func(src, tgt isa.Addr, kind vm.BranchKind)
+
+func (f takenFunc) BlockBatch(events []vm.BlockEvent) {
+	for _, ev := range events {
+		if ev.Taken {
+			f(ev.Src, ev.Tgt, ev.Kind)
+		}
+	}
+}
+
 // branchPrefix interprets the program and returns its first n taken-branch
 // events.
 func branchPrefix(t *testing.T, p *program.Program, n int) [][2]isa.Addr {
 	t.Helper()
 	var out [][2]isa.Addr
 	m := vm.New(p, vm.Config{})
-	if _, err := m.Run(vm.SinkFunc(func(src, tgt isa.Addr, _ vm.BranchKind) {
+	if _, err := m.Run(takenFunc(func(src, tgt isa.Addr, _ vm.BranchKind) {
 		if len(out) < n {
 			out = append(out, [2]isa.Addr{src, tgt})
 		}
@@ -42,11 +54,11 @@ func TestSyntheticDeterministic(t *testing.T) {
 	if !programsIdentical(a, b) {
 		t.Fatal("same seed and size produced different programs")
 	}
-	sa, err := vm.New(a, vm.Config{}).Run(vm.SinkFunc(func(isa.Addr, isa.Addr, vm.BranchKind) {}))
+	sa, err := vm.New(a, vm.Config{}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := vm.New(b, vm.Config{}).Run(vm.SinkFunc(func(isa.Addr, isa.Addr, vm.BranchKind) {}))
+	sb, err := vm.New(b, vm.Config{}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +70,7 @@ func TestSyntheticDeterministic(t *testing.T) {
 func TestSyntheticSizeTracksTarget(t *testing.T) {
 	for _, size := range []int{100_000, 400_000, 1_000_000} {
 		p := Synthetic(0x5EED, size)
-		stats, err := vm.New(p, vm.Config{}).Run(vm.SinkFunc(func(isa.Addr, isa.Addr, vm.BranchKind) {}))
+		stats, err := vm.New(p, vm.Config{}).Run(nil)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}

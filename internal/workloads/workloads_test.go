@@ -156,7 +156,7 @@ func TestMicroWorkloadShapes(t *testing.T) {
 	up := UnbiasedBranch(4000)
 	taken := 0
 	var total int
-	_, err := vm.Run(up, vm.Config{}, vm.SinkFunc(func(src, tgt isa.Addr, kind vm.BranchKind) {
+	_, err := vm.Run(up, vm.Config{}, takenFunc(func(src, tgt isa.Addr, kind vm.BranchKind) {
 		cLabel, _ := up.Label("C")
 		if tgt == cLabel {
 			taken++

@@ -41,6 +41,9 @@ echo "== tier-1: build, vet, test =="
 go build ./...
 go vet ./...
 go test ./...
+# benchmark/ is its own module, so the root ./... never builds it.
+go -C benchmark vet ./...
+go -C benchmark test ./...
 
 echo "== lint: hotpathalloc, resetclean, densemap, crosshot, epochguard, scratchclean (docs/LINTING.md) =="
 go run ./cmd/lint ./...
