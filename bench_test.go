@@ -668,8 +668,10 @@ func BenchmarkSweepMemo(b *testing.B) {
 // pooled shard (scratch + Resettable selector) per job loop. "live" is the
 // baseline full simulation (VM interpretation + LEI selection), "decode" is
 // the raw stream-decode cost, and "replay" drives the same selection from
-// the pre-decoded recording — dispatch, arithmetic, and memory simulation
-// vanish, so its per-instruction cost must sit several× below live's. Live
+// the pre-decoded recording, built by tracestream.NewCorpus as the engine
+// builds it so the replay borrows its edge table — dispatch, arithmetic,
+// memory simulation and edge counting vanish, so its per-instruction cost
+// must sit several× below live's. Live
 // and replay also report ns/event over the recording's block-event count
 // for direct comparison; the numbers land in BENCH_pipeline.json via
 // scripts/bench.sh and regress through scripts/benchgate.
@@ -718,7 +720,7 @@ func BenchmarkReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		corpus := &tracestream.Corpus{Stream: s, Prog: prog}
+		corpus := tracestream.NewCorpus(s, prog) // with its edge table, as the engine builds it
 		shard := sweep.NewShard()
 		if _, err := shard.Replay(corpus, job); err != nil { // warm the pools
 			b.Fatal(err)

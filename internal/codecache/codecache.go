@@ -168,14 +168,21 @@ func (r *Region) Advance(cur int, next isa.Addr, taken bool) (nextIdx int, stay,
 		}
 		return 0, false, false
 	default: // KindMultipath
+		// Any transfer to a member block stays inside the region: edges
+		// observed during profiling are region-internal, and exits that
+		// target a member block were replaced by direct edges when the
+		// region was formed (paper Figure 13, line 16). The listed
+		// successors — one or two — usually name the target; member blocks
+		// are unique (validate), so the map is only the fallback.
+		for _, s := range r.Succs[cur] {
+			if r.Blocks[s].Start == next {
+				return s, true, taken && next == r.Entry
+			}
+		}
 		idx, ok := r.byStart[next]
 		if !ok {
 			return 0, false, false
 		}
-		// Any transfer to a member block stays inside the region: edges
-		// observed during profiling are region-internal, and exits that
-		// target a member block were replaced by direct edges when the
-		// region was formed (paper Figure 13, line 16).
 		return idx, true, taken && next == r.Entry
 	}
 }

@@ -178,10 +178,13 @@ func (s *Simulator) Fail(err error) { s.errs = append(s.errs, err) }
 // BlockBatch implements vm.BlockSink: each event is the completed execution
 // of exactly one basic block — the block led by the current position, whose
 // final instruction is the event's Src. Fall-through boundaries arrive
-// pre-resolved, so the block length is a single subtraction.
+// pre-resolved, so the block length is a single subtraction. The batch's
+// edges are counted in one fold before the walk; a run replaying against a
+// borrowed edge table skips even that.
 //
 //lint:hotpath batched block-event consumption
 func (s *Simulator) BlockBatch(events []vm.BlockEvent) {
+	s.col.CountEdges(s.pos, events)
 	for i := range events {
 		ev := &events[i]
 		s.transfer(ev.Src, ev.Tgt, ev.Taken, ev.Kind)
@@ -197,7 +200,6 @@ func (s *Simulator) transfer(src, tgt isa.Addr, taken bool, kind vm.BranchKind) 
 	blockLen := int(src-s.pos) + 1
 	inCache := s.region != nil
 	s.col.Block(blockLen, inCache)
-	s.col.Edge(s.pos, tgt)
 	if inCache {
 		s.region.ExecInstrs += uint64(blockLen)
 		if s.ic != nil {
@@ -359,14 +361,30 @@ func Run(p *program.Program, cfg Config) (Result, error) {
 // RunEvents drives the simulator from a fully decoded block-event stream —
 // the corpus replay path. finalPC and instrs are the recorded run's halt
 // address and instruction count (instrs 0 skips the attribution
-// cross-check). Pooled callers (sweep shards replaying a shared
-// tracestream.Corpus) stay allocation-free in steady state.
+// cross-check). The run counts the stream's edges into its own table;
+// RunEdges replays against a table counted once beforehand.
 //
 //lint:hotpath corpus replay drives the batched event path
 func RunEvents(p *program.Program, cfg Config, events []vm.BlockEvent, finalPC isa.Addr, instrs uint64) (Result, error) {
+	return RunEdges(p, cfg, events, nil, finalPC, instrs)
+}
+
+// RunEdges is RunEvents with the stream's edge table supplied: edges must
+// hold the edge counts of exactly this stream (tracestream.Corpus carries
+// one). The run borrows it read-only instead of counting — edge counts do
+// not depend on the selector, so a replay pays only for what the selector
+// changes — and the result's Collector reports it. A nil edges counts the
+// stream as RunEvents does. Pooled callers (sweep shards replaying a shared
+// corpus) stay allocation-free in steady state.
+//
+//lint:hotpath corpus replay drives the batched event path
+func RunEdges(p *program.Program, cfg Config, events []vm.BlockEvent, edges *metrics.Edges, finalPC isa.Addr, instrs uint64) (Result, error) {
 	sim, err := beginRun(p, cfg)
 	if err != nil {
 		return Result{}, err
+	}
+	if edges != nil {
+		sim.col.Borrow(edges)
 	}
 	sim.BlockBatch(events)
 	return endRun(sim, cfg, vm.Stats{Instrs: instrs, FinalPC: finalPC})

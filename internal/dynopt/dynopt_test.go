@@ -471,7 +471,7 @@ func TestSelectedCodeWasExecuted(t *testing.T) {
 			// edge (every executed block either transfers control out or
 			// was transferred to).
 			executed := map[isa.Addr]bool{}
-			preds := res.Collector.PredsOf()
+			preds := res.Collector.Edges().PredsOf()
 			for to, froms := range preds {
 				executed[to] = true
 				for _, f := range froms {

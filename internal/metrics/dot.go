@@ -51,7 +51,7 @@ func WriteRegionGraphDOT(w io.Writer, cache *codecache.Cache, col *Collector) er
 				}
 				label := ""
 				if col != nil {
-					if n := col.EdgeCount(b.Start, tgt); n > 0 {
+					if n := col.Edges().EdgeCount(b.Start, tgt); n > 0 {
 						label = fmt.Sprintf(" [label=\"%d\"]", n)
 					}
 				}

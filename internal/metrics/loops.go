@@ -40,7 +40,7 @@ func AnalyzeLoopCoverage(p *program.Program, cache *codecache.Cache, col *Collec
 	cov := LoopCoverage{StaticLoops: len(loops)}
 	regions := cache.AllRegions()
 	for _, l := range loops {
-		if col.EdgeCount(l.Tail, l.Header) < minExec {
+		if col.Edges().EdgeCount(l.Tail, l.Header) < minExec {
 			continue
 		}
 		cov.HotLoops++

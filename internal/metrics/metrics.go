@@ -14,6 +14,7 @@ import (
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/vm"
 )
 
 // Collector accumulates raw execution facts during a simulation run.
@@ -38,20 +39,11 @@ type Collector struct {
 	// InterpBranches counts interpreted taken branches.
 	InterpBranches uint64
 
-	// edges records (fromBlock, toBlock) leader-pair execution counts,
-	// covering all execution (interpreted and cached) — the paper's
-	// exit-domination definition considers every predecessor edge that
-	// executes (§4.1, footnote 5). The table is dense: a slice indexed by
-	// the source leader address (grown lazily) whose cells hold the small
-	// set of observed successors with flat counters, so the per-block hot
-	// path is an indexed load plus a short linear scan, never a hash.
-	edges [][]edgeCell
-}
-
-// edgeCell is one observed successor of a source block with its count.
-type edgeCell struct {
-	to isa.Addr
-	n  uint64
+	// own is the collector's edge table, counted by CountEdges. borrowed,
+	// when set, replaces it for the run: a shared, read-only table of the
+	// same stream's edges that the collector never writes (Borrow).
+	own      Edges
+	borrowed *Edges
 }
 
 // NewCollector returns an empty collector.
@@ -59,27 +51,43 @@ func NewCollector() *Collector {
 	return &Collector{}
 }
 
-// EnsureCap grows the edge table to cover source leaders below n, so a run
-// over a program of known address-space size records edges without ever
-// growing the table.
-func (c *Collector) EnsureCap(n int) {
-	if n <= len(c.edges) {
-		return
-	}
-	grown := make([][]edgeCell, n)
-	copy(grown, c.edges)
-	c.edges = grown
+// EnsureCap grows the collector's own edge table to cover source leaders
+// below n, so a run over a program of known address-space size counts
+// edges without ever growing the table.
+func (c *Collector) EnsureCap(n int) { c.own.EnsureCap(n) }
+
+// Reset clears the collector for reuse and drops any borrowed table, keeping
+// its own table's backing storage (including each source's successor-cell
+// array) so a pooled collector reaches steady state with no allocation.
+func (c *Collector) Reset() {
+	c.own.reset()
+	*c = Collector{own: c.own}
 }
 
-// Reset clears the collector for reuse, keeping the edge table's backing
-// storage (including each source's successor-cell array) so a pooled
-// collector reaches steady state with no allocation.
-func (c *Collector) Reset() {
-	edges := c.edges
-	for i := range edges {
-		edges[i] = edges[i][:0]
+// Borrow makes e the collector's edge table for the rest of the run: e must
+// already hold the edges of the stream being collected (it is typically a
+// recorded corpus's table, shared across concurrent replays), so CountEdges
+// becomes a no-op and nothing writes into e.
+func (c *Collector) Borrow(e *Edges) { c.borrowed = e }
+
+// Edges returns the run's edge table: the borrowed one when set, otherwise
+// the collector's own.
+func (c *Collector) Edges() *Edges {
+	if c.borrowed != nil {
+		return c.borrowed
 	}
-	*c = Collector{edges: edges}
+	return &c.own
+}
+
+// CountEdges folds a batch of block events, the first leaving the block led
+// by pos, into the collector's own edge table. A collector that borrows a
+// table counts nothing.
+//
+//lint:hotpath per-batch edge counting
+func (c *Collector) CountEdges(pos isa.Addr, events []vm.BlockEvent) {
+	if c.borrowed == nil {
+		c.own.Fold(pos, events)
+	}
 }
 
 // Block records the completed execution of a block of n instructions.
@@ -90,31 +98,6 @@ func (c *Collector) Block(n int, inCache bool) {
 	if inCache {
 		c.CacheInstrs += uint64(n)
 	}
-}
-
-// Edge records one execution of the control-flow edge between two block
-// leaders.
-//
-//lint:hotpath per-edge collection
-func (c *Collector) Edge(from, to isa.Addr) {
-	if int(from) >= len(c.edges) {
-		n := int(from) + 1
-		if n < 2*len(c.edges) {
-			n = 2 * len(c.edges)
-		}
-		grown := make([][]edgeCell, n)
-		copy(grown, c.edges)
-		c.edges = grown
-	}
-	cells := c.edges[from]
-	for i := range cells {
-		if cells[i].to == to {
-			cells[i].n++
-			return
-		}
-	}
-	//lint:ignore hotpathalloc appends to the local alias of c.edges[from]; cells are kept by Reset, so steady state never grows (TestShardSteadyStateAllocFree)
-	c.edges[from] = append(cells, edgeCell{to: to, n: 1})
 }
 
 // Transition records one region transition between cache-layout addresses.
@@ -130,37 +113,6 @@ func (c *Collector) Transition(fromAddr, toAddr int) {
 		d = -d
 	}
 	c.TransitionBytes += uint64(d)
-}
-
-// EdgeCount returns the number of times the edge executed.
-func (c *Collector) EdgeCount(from, to isa.Addr) uint64 {
-	if int(from) >= len(c.edges) {
-		return 0
-	}
-	for _, cell := range c.edges[from] {
-		if cell.to == to {
-			return cell.n
-		}
-	}
-	return 0
-}
-
-// PredsOf returns the distinct executed predecessor leaders for each block
-// leader.
-//
-//lint:ignore densemap one-shot compatibility API; Analyzer.buildPreds is the dense pooled path
-func (c *Collector) PredsOf() map[isa.Addr][]isa.Addr {
-	//lint:ignore densemap one-shot compatibility API; Analyzer.buildPreds is the dense pooled path
-	preds := make(map[isa.Addr][]isa.Addr)
-	for from, cells := range c.edges {
-		for _, cell := range cells {
-			preds[cell.to] = append(preds[cell.to], isa.Addr(from))
-		}
-	}
-	for _, ps := range preds {
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	}
-	return preds
 }
 
 // HitRate returns the fraction of executed instructions that ran from the
@@ -256,17 +208,18 @@ func (a *Analyzer) Analyze(cache *codecache.Cache, col *Collector, selStats core
 	return analyze(a, cache, col, selStats)
 }
 
-// buildPreds fills the dense predecessor table from the collector's edge
-// counts. Iterating sources in ascending address order yields each target's
-// predecessor list already sorted, matching PredsOf.
+// buildPreds fills the dense predecessor table from the run's edge counts,
+// only reading the table (it may be a corpus's shared one). Iterating
+// sources in ascending address order yields each target's predecessor list
+// already sorted, matching PredsOf.
 //
 //lint:hotpath pooled analysis (TestPooledAnalyzeAllocFree)
-func (a *Analyzer) buildPreds(col *Collector) {
+func (a *Analyzer) buildPreds(edges *Edges) {
 	for _, to := range a.predsHot {
 		a.preds[to] = a.preds[to][:0]
 	}
 	a.predsHot = a.predsHot[:0]
-	for from, cells := range col.edges {
+	for from, cells := range edges.cells {
 		for _, cell := range cells {
 			to := int(cell.to)
 			if to >= len(a.preds) {
@@ -388,7 +341,7 @@ func analyze(a *Analyzer, cache *codecache.Cache, col *Collector, selStats core.
 		r.ExecutedRatio = float64(r.CycleTraversals) / float64(r.Traversals)
 	}
 	r.CoverSet90, r.CoverSet90OK = a.coverSet(regions, col.TotalInstrs, 0.90)
-	a.buildPreds(col)
+	a.buildPreds(col.Edges())
 	r.ExitDominated, r.ExitDomDupInstrs = a.exitDomination(regions)
 	if r.Regions > 0 {
 		r.ExitDominatedRatio = float64(r.ExitDominated) / float64(r.Regions)
@@ -450,7 +403,7 @@ type DominationResult struct {
 // S, and (3) R was selected before S (§4.1).
 func AnalyzeExitDomination(regions []*codecache.Region, col *Collector) DominationResult {
 	var res DominationResult
-	preds := col.PredsOf()
+	preds := col.Edges().PredsOf()
 	for _, s := range regions {
 		// Executed predecessors of S's entrance outside S.
 		var outside []isa.Addr

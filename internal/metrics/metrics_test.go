@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/vm"
 )
 
 // metricsProgram: four single-instruction-ish blocks plus glue, for region
@@ -50,6 +52,12 @@ func spec(p *program.Program, starts ...isa.Addr) codecache.Spec {
 	return codecache.Spec{Entry: starts[0], Kind: codecache.KindTrace, Blocks: blocks}
 }
 
+// countEdge records one execution of the edge from -> to through the
+// collector's batch fold.
+func countEdge(c *Collector, from, to isa.Addr) {
+	c.CountEdges(from, []vm.BlockEvent{{Tgt: to}})
+}
+
 func TestCollectorBasics(t *testing.T) {
 	c := NewCollector()
 	c.Block(10, false)
@@ -61,18 +69,69 @@ func TestCollectorBasics(t *testing.T) {
 	if c.HitRate() != 0.9 {
 		t.Errorf("hit rate = %v", c.HitRate())
 	}
-	c.Edge(1, 2)
-	c.Edge(1, 2)
-	c.Edge(3, 2)
-	if c.EdgeCount(1, 2) != 2 || c.EdgeCount(3, 2) != 1 || c.EdgeCount(9, 9) != 0 {
+	countEdge(c, 1, 2)
+	countEdge(c, 1, 2)
+	countEdge(c, 3, 2)
+	e := c.Edges()
+	if e.EdgeCount(1, 2) != 2 || e.EdgeCount(3, 2) != 1 || e.EdgeCount(9, 9) != 0 {
 		t.Error("edge counts wrong")
 	}
-	preds := c.PredsOf()
+	preds := e.PredsOf()
 	if got := preds[2]; len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("preds = %v", got)
 	}
 	if NewCollector().HitRate() != 0 {
 		t.Error("empty hit rate")
+	}
+}
+
+// TestEdgesFoldChainsBatches checks that Fold chains each event's target
+// into the next event's source, and that folding a stream in batches equals
+// folding it whole.
+func TestEdgesFoldChainsBatches(t *testing.T) {
+	stream := []vm.BlockEvent{{Tgt: 2}, {Tgt: 6}, {Tgt: 0}, {Tgt: 2}, {Tgt: 4}, {Tgt: 6}, {Tgt: 8}}
+	var whole, batched Edges
+	whole.Fold(0, stream)
+	batched.Fold(0, stream[:3])
+	batched.Fold(stream[2].Tgt, stream[3:])
+	for _, e := range []*Edges{&whole, &batched} {
+		if e.EdgeCount(0, 2) != 2 || e.EdgeCount(2, 6) != 1 || e.EdgeCount(2, 4) != 1 || e.EdgeCount(6, 8) != 1 {
+			t.Errorf("fold counts wrong: %v", e.PredsOf())
+		}
+	}
+	if got, want := fmt.Sprint(batched), fmt.Sprint(whole); got != want {
+		t.Errorf("batched fold %s, whole fold %s", got, want)
+	}
+}
+
+// TestCollectorBorrowIsReadOnly pins the sharing contract replays rely on:
+// a collector borrowing a table reports it, counts nothing into it, and
+// neither Reset nor EnsureCap writes into it.
+func TestCollectorBorrowIsReadOnly(t *testing.T) {
+	var shared Edges
+	shared.Fold(0, []vm.BlockEvent{{Tgt: 2}, {Tgt: 6}})
+	before := fmt.Sprint(shared)
+
+	c := NewCollector()
+	countEdge(c, 4, 4)
+	c.Borrow(&shared)
+	if c.Edges() != &shared {
+		t.Fatal("borrowing collector does not report the borrowed table")
+	}
+	countEdge(c, 0, 2)
+	c.EnsureCap(64)
+	if c.Edges().EdgeCount(0, 2) != 1 {
+		t.Error("borrowed table's count changed")
+	}
+	c.Reset()
+	if c.Edges() == &shared {
+		t.Error("Reset kept the borrowed table")
+	}
+	if c.Edges().EdgeCount(4, 4) != 0 {
+		t.Error("Reset left the collector's own counts")
+	}
+	if got := fmt.Sprint(shared); got != before {
+		t.Errorf("borrowed table changed from %s to %s", before, got)
 	}
 }
 
@@ -116,9 +175,9 @@ func TestExitDomination(t *testing.T) {
 	}
 	col := NewCollector()
 	// Executed edges: A->B, B->D (the exit edge), D->E. Only B reaches D.
-	col.Edge(0, 2)
-	col.Edge(2, 6)
-	col.Edge(6, 8)
+	countEdge(col, 0, 2)
+	countEdge(col, 2, 6)
+	countEdge(col, 6, 8)
 	res := AnalyzeExitDomination(cache.AllRegions(), col)
 	if res.DominatedRegions != 1 {
 		t.Fatalf("dominated = %d, want 1", res.DominatedRegions)
@@ -142,8 +201,8 @@ func TestExitDominationRequiresSinglePredecessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewCollector()
-	col.Edge(2, 6)
-	col.Edge(4, 6) // C also reaches D and C is outside both regions
+	countEdge(col, 2, 6)
+	countEdge(col, 4, 6) // C also reaches D and C is outside both regions
 	res := AnalyzeExitDomination(cache.AllRegions(), col)
 	if res.DominatedRegions != 0 {
 		t.Errorf("dominated = %d, want 0 (two outside predecessors)", res.DominatedRegions)
@@ -161,8 +220,8 @@ func TestExitDominationSelectionOrderMatters(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewCollector()
-	col.Edge(0, 2)
-	col.Edge(2, 6)
+	countEdge(col, 0, 2)
+	countEdge(col, 2, 6)
 	res := AnalyzeExitDomination(cache.AllRegions(), col)
 	if res.DominatedRegions != 0 {
 		t.Errorf("dominated = %d, want 0 (wrong selection order)", res.DominatedRegions)
@@ -196,7 +255,7 @@ func TestExitDominationInternalEdgeNotAnExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewCollector()
-	col.Edge(2, 6)
+	countEdge(col, 2, 6)
 	res := AnalyzeExitDomination(cache.AllRegions(), col)
 	if res.DominatedRegions != 0 {
 		t.Errorf("dominated = %d, want 0 (edge is internal to R)", res.DominatedRegions)
@@ -215,8 +274,8 @@ func TestExitDominationDuplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewCollector()
-	col.Edge(0, 4) // A -> C executed (A's taken branch leaves R)
-	col.Edge(4, 6)
+	countEdge(col, 0, 4) // A -> C executed (A's taken branch leaves R)
+	countEdge(col, 4, 6)
 	res := AnalyzeExitDomination(cache.AllRegions(), col)
 	if res.DominatedRegions != 1 {
 		t.Fatalf("dominated = %d, want 1", res.DominatedRegions)
@@ -287,7 +346,7 @@ func TestLoopCoverage(t *testing.T) {
 	col := NewCollector()
 
 	// Cold loop: below the hotness threshold.
-	col.Edge(1, 1)
+	countEdge(col, 1, 1)
 	cov := AnalyzeLoopCoverage(p, cache, col, 100)
 	if cov.StaticLoops != 1 || cov.HotLoops != 0 {
 		t.Errorf("cold coverage = %+v", cov)
@@ -295,7 +354,7 @@ func TestLoopCoverage(t *testing.T) {
 
 	// Hot loop, nothing cached.
 	for i := 0; i < 200; i++ {
-		col.Edge(1, 1)
+		countEdge(col, 1, 1)
 	}
 	cov = AnalyzeLoopCoverage(p, cache, col, 100)
 	if cov.HotLoops != 1 || cov.Spanned != 0 || cov.HeaderCached != 0 {
@@ -361,8 +420,8 @@ func TestWriteRegionGraphDOT(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewCollector()
-	col.Edge(2, 6)
-	col.Edge(2, 6)
+	countEdge(col, 2, 6)
+	countEdge(col, 2, 6)
 	var buf strings.Builder
 	if err := WriteRegionGraphDOT(&buf, cache, col); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tracestream"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -52,6 +54,20 @@ func runMemoGrid(t *testing.T, g Grid, opts Options) ([]Result, MemoStats) {
 		t.Fatalf("delivered %d results, want %d", len(sink.Results), g.NumJobs())
 	}
 	return sink.Results, r.MemoStats()
+}
+
+// cellBytes records the (name, testScale) cell as the memo layer does and
+// returns what admitting its corpus charges the budget: the event arena
+// plus the edge table.
+func cellBytes(t *testing.T, name string) int64 {
+	t.Helper()
+	p := workloads.MustGet(name).Build(testScale)
+	rec := tracestream.NewMemRecorder(p, name, testScale)
+	st, err := vm.Run(p, vm.Config{}, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Corpus(st).SizeBytes()
 }
 
 // diffMemoRuns fails on the first report that differs between the two runs.
@@ -126,15 +142,17 @@ func TestSweepMemoConcurrentFirstTouch(t *testing.T) {
 // changes, only the counters.
 func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 	g := memoTestGrid([]string{"gzip", "vpr"})
+	gzip, vpr := cellBytes(t, "gzip"), cellBytes(t, "vpr")
 	off, _ := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOff})
 	_, full := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn})
-	if full.Resident != 2 || full.ResidentBytes == 0 {
-		t.Fatalf("probe run: %d corpora / %d bytes resident, want both workloads", full.Resident, full.ResidentBytes)
+	if full.Resident != 2 || full.ResidentBytes != gzip+vpr {
+		t.Fatalf("probe run: %d corpora / %d bytes resident, want both workloads / %d bytes",
+			full.Resident, full.ResidentBytes, gzip+vpr)
 	}
 
 	// A budget one byte short of the working set holds either corpus but
 	// never both: admitting the second evicts the first.
-	on, st := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn, MemoBudgetBytes: full.ResidentBytes - 1})
+	on, st := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn, MemoBudgetBytes: gzip + vpr - 1})
 	diffMemoRuns(t, off, on)
 	if st.Evictions == 0 {
 		t.Errorf("under-working-set budget evicted nothing: %+v", st)
@@ -143,9 +161,9 @@ func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 		t.Error("under-working-set budget never replayed")
 	}
 
-	// A one-byte budget rejects every corpus; the cells go dead and every
-	// later job falls back to live execution.
-	on, st = runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn, MemoBudgetBytes: 1})
+	// A budget one byte short of the smaller corpus rejects every corpus;
+	// the cells go dead and every later job falls back to live execution.
+	on, st = runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn, MemoBudgetBytes: min(gzip, vpr) - 1})
 	diffMemoRuns(t, off, on)
 	if st.Rejected != 2 {
 		t.Errorf("Rejected = %d, want one per workload cell", st.Rejected)

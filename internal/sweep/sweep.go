@@ -175,8 +175,10 @@ func (s *Shard) Run(p *program.Program, job Job) (metrics.Report, error) {
 
 // Replay executes one job against a decoded trace corpus instead of a live
 // program: the recorded block events drive the selectors directly
-// (dynopt.RunEvents), so the VM never runs. The corpus is read-only during
-// the run and may be shared across shards.
+// (dynopt.RunEdges), so the VM never runs, and the run borrows the corpus's
+// edge table instead of recounting it (a corpus without one counts into the
+// shard's scratch). The corpus is read-only during the run and may be
+// shared across shards.
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Replay(c *tracestream.Corpus, job Job) (metrics.Report, error) {
@@ -204,7 +206,7 @@ func (s *Shard) run(p *program.Program, c *tracestream.Corpus, job Job, tap vm.B
 	var res dynopt.Result
 	if c != nil {
 		h := c.Stream.Header
-		res, err = dynopt.RunEvents(c.Prog, cfg, c.Stream.Events, h.FinalPC, h.Instrs)
+		res, err = dynopt.RunEdges(c.Prog, cfg, c.Stream.Events, c.Edges(), h.FinalPC, h.Instrs)
 	} else {
 		res, err = dynopt.Run(p, cfg)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/workloads"
 )
@@ -30,10 +31,28 @@ type Corpus struct {
 	// FileDigest is the content hash of the stream file the corpus was
 	// decoded from — the cache key.
 	FileDigest uint64
+	// edges counts the stream's control-flow edges once, for every replay
+	// to borrow; nil for a corpus built by struct literal.
+	edges *metrics.Edges
+}
+
+// NewCorpus pairs a recorded stream with the program it ran and counts the
+// stream's edge table — the construction both the memo path
+// (MemRecorder.Corpus) and the trace-file path (Cache.Load) use.
+func NewCorpus(s *Stream, p *program.Program) *Corpus {
+	e := new(metrics.Edges)
+	e.EnsureCap(p.Len() + 1)
+	e.Fold(p.Entry(), s.Events)
+	return &Corpus{Stream: s, Prog: p, edges: e}
 }
 
 // Header returns the underlying stream header.
 func (c *Corpus) Header() Header { return c.Stream.Header }
+
+// Edges returns the stream's edge table, or nil when the corpus was built
+// without NewCorpus. The table is shared by every replay of the corpus,
+// concurrent ones included, and must only be read.
+func (c *Corpus) Edges() *metrics.Edges { return c.edges }
 
 // buildCorpus decodes raw stream bytes and rebuilds + verifies the program
 // named in the header.
@@ -50,5 +69,7 @@ func buildCorpus(data []byte, fileDigest uint64) (*Corpus, error) {
 	if err := s.Header.CheckProgram(p); err != nil {
 		return nil, fmt.Errorf("%w (workload %s scale %d)", err, s.Header.Workload, s.Header.Scale)
 	}
-	return &Corpus{Stream: s, Prog: p, FileDigest: fileDigest}, nil
+	c := NewCorpus(s, p)
+	c.FileDigest = fileDigest
+	return c, nil
 }

@@ -46,18 +46,16 @@ func (r *MemRecorder) BlockBatch(events []vm.BlockEvent) {
 }
 
 // Corpus seals the recording into a replay-ready in-memory corpus, stamping
-// the run totals from the recorded run's stats. The recorder must not be
-// reused afterwards — the corpus owns the arena.
+// the run totals from the recorded run's stats and counting the arena's
+// edge table (NewCorpus). The recorder must not be reused afterwards — the
+// corpus owns the arena.
 func (r *MemRecorder) Corpus(st vm.Stats) *MemCorpus {
 	h := r.h
 	h.Events = uint64(len(r.events))
 	h.Branches = st.Branches
 	h.Instrs = st.Instrs
 	h.FinalPC = st.FinalPC
-	return &MemCorpus{Corpus: Corpus{
-		Stream: &Stream{Header: h, Events: r.events},
-		Prog:   r.prog,
-	}}
+	return &MemCorpus{Corpus: *NewCorpus(&Stream{Header: h, Events: r.events}, r.prog)}
 }
 
 // MemCorpus is a Corpus that only ever lived in memory: recorded by a
@@ -71,11 +69,16 @@ type MemCorpus struct {
 // eventBytes is the resident footprint of one arena slot.
 const eventBytes = int64(unsafe.Sizeof(vm.BlockEvent{}))
 
-// SizeBytes reports the corpus's resident arena footprint — what admission
-// against a MemBudget charges. Capacity, not length: the grown backing
-// array is what the process actually holds.
+// SizeBytes reports the corpus's resident footprint — the event arena plus
+// the edge table — which is what admission against a MemBudget charges.
+// Capacity, not length: the grown backing arrays are what the process
+// actually holds.
 func (c *MemCorpus) SizeBytes() int64 {
-	return int64(cap(c.Stream.Events)) * eventBytes
+	n := int64(cap(c.Stream.Events)) * eventBytes
+	if c.edges != nil {
+		n += c.edges.SizeBytes()
+	}
+	return n
 }
 
 // MemKey identifies a memoizable cell: PR 8 established that the

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/isa"
+	"repro/internal/program"
 	"repro/internal/tracestream"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -44,16 +47,29 @@ func TestMemRecorderMatchesDiskRecorder(t *testing.T) {
 	if mem.Prog != prog {
 		t.Error("corpus does not carry the recorded program")
 	}
-	if min := int64(len(mem.Stream.Events)); mem.SizeBytes() < min {
-		t.Errorf("SizeBytes %d below event count %d", mem.SizeBytes(), min)
+	// The budget charge covers everything the recording holds: the arena
+	// by capacity plus the edge table every replay borrows.
+	edges := mem.Edges()
+	if edges == nil {
+		t.Fatal("recorded corpus carries no edge table")
+	}
+	arena := int64(cap(mem.Stream.Events)) * int64(unsafe.Sizeof(vm.BlockEvent{}))
+	if edges.SizeBytes() <= 0 || mem.SizeBytes() != arena+edges.SizeBytes() {
+		t.Errorf("SizeBytes %d, want arena %d + edge table %d", mem.SizeBytes(), arena, edges.SizeBytes())
 	}
 }
 
-// memCorpusOf fabricates an in-memory corpus with exactly n arena slots.
-func memCorpusOf(n int) *tracestream.MemCorpus {
-	return &tracestream.MemCorpus{Corpus: tracestream.Corpus{
-		Stream: &tracestream.Stream{Events: make([]vm.BlockEvent, n)},
-	}}
+// memCorpusOf fabricates an in-memory corpus of a one-instruction program
+// with exactly n arena slots, built by NewCorpus so it carries an edge
+// table like a recorded one.
+func memCorpusOf(t *testing.T, n int) *tracestream.MemCorpus {
+	t.Helper()
+	p, err := program.New([]isa.Instr{{Op: isa.Halt}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &tracestream.Stream{Events: make([]vm.BlockEvent, n)}
+	return &tracestream.MemCorpus{Corpus: *tracestream.NewCorpus(s, p)}
 }
 
 // TestMemBudgetLRUEviction covers the byte-budgeted LRU: admission evicts
@@ -61,17 +77,21 @@ func memCorpusOf(n int) *tracestream.MemCorpus {
 // corpora are rejected without disturbing the resident set, and the
 // counters record every outcome.
 func TestMemBudgetLRUEviction(t *testing.T) {
-	unit := memCorpusOf(10).SizeBytes()
+	unit := memCorpusOf(t, 10).SizeBytes()
 	if unit <= 0 {
 		t.Fatalf("corpus size %d, want positive", unit)
 	}
 	b := tracestream.NewMemBudget(3 * unit)
+	big := memCorpusOf(t, 100)
+	if big.SizeBytes() <= 3*unit {
+		t.Fatalf("oversized corpus is %d bytes, not above the %d-byte budget", big.SizeBytes(), 3*unit)
+	}
 
 	k := func(i int) tracestream.MemKey {
 		return tracestream.MemKey{Workload: string(rune('a' + i)), Scale: i}
 	}
 	for i := 0; i < 3; i++ {
-		if !b.Add(k(i), memCorpusOf(10)) {
+		if !b.Add(k(i), memCorpusOf(t, 10)) {
 			t.Fatalf("corpus %d not admitted under a 3-corpus budget", i)
 		}
 	}
@@ -79,7 +99,7 @@ func TestMemBudgetLRUEviction(t *testing.T) {
 	if b.Get(k(0)) == nil {
 		t.Fatal("resident corpus k0 missed")
 	}
-	if !b.Add(k(3), memCorpusOf(10)) {
+	if !b.Add(k(3), memCorpusOf(t, 10)) {
 		t.Fatal("k3 not admitted")
 	}
 	if b.Get(k(1)) != nil {
@@ -92,7 +112,7 @@ func TestMemBudgetLRUEviction(t *testing.T) {
 	}
 
 	// A corpus bigger than the whole budget must be rejected outright.
-	if b.Add(k(4), memCorpusOf(100)) {
+	if b.Add(k(4), big) {
 		t.Error("oversized corpus admitted; want rejected")
 	}
 	if b.Get(k(4)) != nil {
@@ -111,7 +131,7 @@ func TestMemBudgetLRUEviction(t *testing.T) {
 	}
 
 	// Re-adding a resident key replaces it without growing occupancy.
-	if !b.Add(k(0), memCorpusOf(10)) {
+	if !b.Add(k(0), memCorpusOf(t, 10)) {
 		t.Fatal("replacement add refused")
 	}
 	if st := b.Stats(); st.Resident != 3 || st.ResidentBytes != 3*unit {

@@ -161,7 +161,8 @@ func TestSweepReplayMatchesLiveSweep(t *testing.T) {
 
 // TestShardReplayAllocFree extends the sweep engine's zero-alloc pin to the
 // corpus replay path: after warm-up, Shard.Replay performs no heap
-// allocations per job.
+// allocations per job, both when it borrows the corpus's edge table and
+// when a table-less corpus makes it count into the shard's scratch.
 func TestShardReplayAllocFree(t *testing.T) {
 	const name, scale = "gzip", 40
 	prog := workloads.MustGet(name).Build(scale)
@@ -173,24 +174,35 @@ func TestShardReplayAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := &tracestream.Corpus{Stream: s, Prog: prog}
+	corpora := []struct {
+		mode   string
+		corpus *tracestream.Corpus
+	}{
+		{"counted", &tracestream.Corpus{Stream: s, Prog: prog}},
+		{"borrowed", tracestream.NewCorpus(s, prog)},
+	}
 	shard := sweep.NewShard()
 	for _, selName := range diffSelectors[:4] { // adaptive pools separately
 		selName := selName
 		t.Run(selName, func(t *testing.T) {
 			job := sweep.Job{Workload: name, Selector: selName, Params: core.DefaultParams()}
-			for i := 0; i < 2; i++ {
-				if _, err := shard.Replay(corpus, job); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := shard.Replay(corpus, job); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state shard replay allocated %.1f times, want 0", allocs)
+			for _, c := range corpora {
+				corpus := c.corpus
+				t.Run(c.mode, func(t *testing.T) {
+					for i := 0; i < 2; i++ {
+						if _, err := shard.Replay(corpus, job); err != nil {
+							t.Fatal(err)
+						}
+					}
+					allocs := testing.AllocsPerRun(5, func() {
+						if _, err := shard.Replay(corpus, job); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs != 0 {
+						t.Fatalf("steady-state shard replay allocated %.1f times, want 0", allocs)
+					}
+				})
 			}
 		})
 	}

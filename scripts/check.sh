@@ -5,8 +5,10 @@
 # concurrent sweep engine (including the zero-alloc shard guard, whose
 # cases cover net+comb/lei+comb), the distributed sweep service, the
 # harness that drives it (which exercises the adaptive meta-selector end
-# to end via the Pareto-front pin), and the core selector package
-# (compact-trace round-trip, arena, and adaptive detector tests), a
+# to end via the Pareto-front pin), the core selector package
+# (compact-trace round-trip, arena, and adaptive detector tests), and the
+# trace corpora and code cache that shards read concurrently (corpus
+# event arenas and edge tables, region walks), a
 # sweep smoke run through the cmd/sweep CLI covering the adaptive
 # selector next to the statics and a trace:<path> corpus recorded by
 # cmd/tracerec, a distributed smoke run (two loopback sweepd workers,
@@ -48,8 +50,8 @@ go -C benchmark test ./...
 echo "== lint: hotpathalloc, resetclean, densemap, crosshot, epochguard, scratchclean (docs/LINTING.md) =="
 go run ./cmd/lint ./...
 
-echo "== race detector: sweep engine + sweepnet + experiment harness + core round-trip =="
-go test -race ./internal/sweep/ ./internal/sweepnet/ ./internal/experiments/ ./internal/core/
+echo "== race detector: sweep engine + sweepnet + experiment harness + core round-trip + shared corpora and regions =="
+go test -race ./internal/sweep/ ./internal/sweepnet/ ./internal/experiments/ ./internal/core/ ./internal/tracestream/ ./internal/codecache/
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"; [ -n "${w1pid:-}" ] && kill "$w1pid" 2>/dev/null; [ -n "${w2pid:-}" ] && kill "$w2pid" 2>/dev/null; wait 2>/dev/null || true' EXIT
