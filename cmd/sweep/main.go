@@ -95,9 +95,7 @@ func main() {
 		runner := sweep.NewRunner()
 		err = runner.RunGrid(ctx, grid, sweep.Options{Shards: *shards, Window: *window, Memo: memoMode}, sink)
 		if *verbose {
-			st := runner.MemoStats()
-			fmt.Fprintf(os.Stderr, "sweep: memo hits=%d misses=%d fallbacks=%d evictions=%d rejected=%d resident=%d(%dB)\n",
-				st.Hits, st.Misses, st.Fallbacks, st.Evictions, st.Rejected, st.Resident, st.ResidentBytes)
+			fmt.Fprintln(os.Stderr, "sweep: memo", runner.MemoStats())
 		}
 	}
 	flush()

@@ -30,7 +30,7 @@ func main() {
 	shards := flag.Int("shards", 0, "engine shards per range (0 = GOMAXPROCS)")
 	window := flag.Int("window", 0, "local reorder-window size in jobs (0 = engine default)")
 	memo := flag.String("memo", "on", "record-once/replay-many trace memoization (on|off); output is byte-identical either way")
-	memoBudget := flag.Int64("memobudget", 0, "resident memoized-corpus budget in bytes (0 = engine default)")
+	memoBudget := flag.Int64("memobudget", 0, "resident corpus budget in bytes, memo recordings and decoded trace files alike (0 = engine default)")
 	flag.Parse()
 	mode, err := sweep.ParseMemoMode(*memo)
 	if err != nil {
@@ -61,8 +61,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)
 	}
-	st := runner.MemoStats()
-	fmt.Printf("sweepd: memo hits=%d misses=%d fallbacks=%d evictions=%d rejected=%d resident=%d(%dB)\n",
-		st.Hits, st.Misses, st.Fallbacks, st.Evictions, st.Rejected, st.Resident, st.ResidentBytes)
+	fmt.Println("sweepd: memo", runner.MemoStats())
 	fmt.Println("sweepd: drained")
 }

@@ -4,7 +4,7 @@
 //
 //	tracerec -workload gzip -scale 40 -out gzip.trace   # record a run
 //	tracerec -info gzip.trace                           # print the header
-//	tracerec -verify gzip.trace                         # full decode + program digest check
+//	tracerec -verify gzip.trace                         # full decode + program digest check + resident bytes
 package main
 
 import (
@@ -33,13 +33,16 @@ func main() {
 		}
 		printHeader(h)
 	case *verify != "":
-		c, err := tracestream.NewCache(1).Load(*verify)
+		// A throwaway store: nothing needs to stay resident after the check.
+		c, err := tracestream.NewStore(0).LoadRef(tracestream.RefPrefix + *verify)
 		if err != nil {
 			fail(err)
 		}
 		printHeader(c.Header())
 		fmt.Printf("verified: %d events decode cleanly, program digest matches (file digest %#016x)\n",
 			len(c.Stream.Events), c.FileDigest)
+		// The figure sweepd -memobudget is compared against.
+		fmt.Printf("resident:  %d bytes decoded (event arena + edge table)\n", c.SizeBytes())
 	case *workload != "":
 		if *out == "" {
 			fail(fmt.Errorf("-workload needs -out FILE"))

@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -177,7 +179,7 @@ func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 }
 
 // TestRunnerMemoPersistsAcrossRuns pins the property sweepd relies on: the
-// memo table lives with the Runner, so a second run over the same grid
+// corpus store lives with the Runner, so a second run over the same grid
 // replays everything the first recorded — no new misses.
 func TestRunnerMemoPersistsAcrossRuns(t *testing.T) {
 	g := memoTestGrid([]string{"gzip"})
@@ -204,13 +206,101 @@ func TestRunnerMemoPersistsAcrossRuns(t *testing.T) {
 	}
 }
 
+// writeTrace records the (name, testScale) cell to a stream file and
+// returns its trace reference plus the resident size of its decoded
+// corpus.
+func writeTrace(t *testing.T, name string) (string, int64) {
+	t.Helper()
+	path := t.TempDir() + "/" + name + ".trace"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tracestream.Record(workloads.MustGet(name).Build(testScale), name, testScale, vm.Config{}, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := tracestream.RefPrefix + path
+	c, err := tracestream.NewStore(DefaultMemoBudgetBytes).LoadRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref, c.SizeBytes()
+}
+
+// TestSweepTraceOverBudgetStreams pins the fallback for a trace file whose
+// decoded corpus exceeds the whole budget: the claiming shard decodes it
+// once, the store rejects it, and every later job streams the file from
+// disk — with reports byte-identical to a run that keeps the corpus
+// resident, and without holding the corpus per job.
+func TestSweepTraceOverBudgetStreams(t *testing.T) {
+	ref, size := writeTrace(t, "gzip")
+	g := memoTestGrid([]string{ref})
+	resident, st := runMemoGrid(t, g, Options{Shards: 2})
+	if st.Resident != 1 || st.ResidentBytes != size {
+		t.Fatalf("default budget: %+v, want the %d-byte corpus resident", st, size)
+	}
+	opts := Options{Shards: 1, MemoBudgetBytes: 1}
+	r := NewRunner()
+	var streamed CollectSink
+	if err := r.RunGrid(context.Background(), g, opts, &streamed); err != nil {
+		t.Fatal(err)
+	}
+	diffMemoRuns(t, resident, streamed.Results)
+	st = r.MemoStats()
+	if st.Rejected != 1 || st.ResidentBytes != 0 || st.Hits != 0 {
+		t.Errorf("one-byte budget: %+v, want 1 rejected, nothing resident, no hits", st)
+	}
+	if want := uint64(g.NumJobs() - 1); st.Fallbacks != want {
+		t.Errorf("Fallbacks = %d, want %d (every job after the rejected decode streams)", st.Fallbacks, want)
+	}
+
+	// The rejected key stays rejected, so this whole run streams.
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	if err := r.RunGrid(context.Background(), g, opts, &CountingSink{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms1)
+	perJob := int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(g.NumJobs())
+	if perJob > size/10 {
+		t.Errorf("streamed jobs allocated %d bytes each, want well below the %d-byte corpus", perJob, size)
+	}
+}
+
+// TestSweepStoreSharedBudgetEvicts squeezes one budget between a trace
+// corpus and a memo cell: it holds either but not both, so admitting one
+// evicts the other, and the output never changes.
+func TestSweepStoreSharedBudgetEvicts(t *testing.T) {
+	ref, trace := writeTrace(t, "gzip")
+	cell := cellBytes(t, "vpr")
+	g := memoTestGrid([]string{ref, "vpr"})
+	off, _ := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOff})
+	on, st := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: trace + cell - 1})
+	diffMemoRuns(t, off, on)
+	if st.Evictions == 0 || st.Rejected != 0 {
+		t.Errorf("budget below trace + cell: %+v, want evictions and no rejection", st)
+	}
+	if st.Resident != 1 || st.ResidentBytes != cell {
+		t.Errorf("%d corpora / %d bytes resident, want the last-admitted cell's %d", st.Resident, st.ResidentBytes, cell)
+	}
+}
+
 // TestShardMemoAllocFree extends the engine's zero-alloc pin to the
 // memoized dispatch: once a cell's corpus is recorded, a memoized job — the
-// budget lookup plus the shard replay — performs no heap allocations.
+// store lookup plus the shard replay — performs no heap allocations.
 func TestShardMemoAllocFree(t *testing.T) {
-	m := newMemoTable(0)
+	e := &engine{runner: NewRunner(), memo: true}
+	e.store = e.runner.ensureStore(0)
 	shard := NewShard()
-	prog := workloads.MustGet("gzip").Build(testScale)
+	run, err := e.runner.progs.get("gzip", testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, selName := range PaperSelectors() { // adaptive pools separately
 		selName := selName
 		t.Run(selName, func(t *testing.T) {
@@ -218,12 +308,12 @@ func TestShardMemoAllocFree(t *testing.T) {
 			// First call records the cell; the second warms the pooled
 			// selector for this shape.
 			for i := 0; i < 2; i++ {
-				if _, err := m.run(shard, prog, job); err != nil {
+				if _, err := e.dispatch(shard, run, job); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := m.run(shard, prog, job); err != nil {
+				if _, err := e.dispatch(shard, run, job); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -124,9 +125,10 @@ type Options struct {
 	// the cell replays the recorded stream. Reports are byte-identical
 	// either way; only the execution strategy changes.
 	Memo MemoMode
-	// MemoBudgetBytes bounds resident memoized corpora; <=0 means
-	// DefaultMemoBudgetBytes. Cells whose corpus cannot fit degrade to
-	// live execution.
+	// MemoBudgetBytes bounds the Runner's resident corpora — memo
+	// recordings and decoded trace files alike; <=0 means
+	// DefaultMemoBudgetBytes. Cells whose corpus cannot fit degrade to live
+	// execution, trace files to streaming from disk.
 	MemoBudgetBytes int64
 }
 
@@ -139,6 +141,8 @@ type Options struct {
 type Shard struct {
 	scratch   dynopt.Scratch
 	selectors map[string]core.Selector
+	//lint:keep streaming buffers; stream re-targets the reader per job
+	reader tracestream.Reader
 }
 
 // NewShard returns an empty shard.
@@ -169,7 +173,7 @@ func (s *Shard) selector(name string, params core.Params) (core.Selector, error)
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Run(p *program.Program, job Job) (metrics.Report, error) {
-	res, err := s.run(p, nil, job, nil)
+	res, err := s.run(p, nil, nil, job, nil)
 	return res.Report, err
 }
 
@@ -182,17 +186,18 @@ func (s *Shard) Run(p *program.Program, job Job) (metrics.Report, error) {
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Replay(c *tracestream.Corpus, job Job) (metrics.Report, error) {
-	res, err := s.run(nil, c, job, nil)
+	res, err := s.run(nil, c, nil, job, nil)
 	return res.Report, err
 }
 
 // run is the shard's one job path: it acquires the job's pooled selector,
-// replays c when it is set and otherwise runs p live with a copy of the VM's
-// block-event stream fanned out to tap (nil taps nothing), and stamps the
-// job's workload on the report. The recording caller (the memo layer,
+// replays c when it is set, streams p's recorded events from rd when that
+// is set, and otherwise runs p live with a copy of the VM's block-event
+// stream fanned out to tap (nil taps nothing), and stamps the job's
+// workload on the report. The recording caller (the memo layer,
 // memo.go) taps the live run and reads the run totals from the result's
 // VMStats; the tap only observes, so the report is identical either way.
-func (s *Shard) run(p *program.Program, c *tracestream.Corpus, job Job, tap vm.BlockSink) (dynopt.Result, error) {
+func (s *Shard) run(p *program.Program, c *tracestream.Corpus, rd *tracestream.Reader, job Job, tap vm.BlockSink) (dynopt.Result, error) {
 	sel, err := s.selector(job.Selector, job.Params)
 	if err != nil {
 		return dynopt.Result{}, err
@@ -204,10 +209,13 @@ func (s *Shard) run(p *program.Program, c *tracestream.Corpus, job Job, tap vm.B
 		Tap:             tap,
 	}
 	var res dynopt.Result
-	if c != nil {
+	switch {
+	case c != nil:
 		h := c.Stream.Header
 		res, err = dynopt.RunEdges(c.Prog, cfg, c.Stream.Events, c.Edges(), h.FinalPC, h.Instrs)
-	} else {
+	case rd != nil:
+		res, err = dynopt.RunStream(p, cfg, rd.Feed)
+	default:
 		res, err = dynopt.Run(p, cfg)
 	}
 	if err != nil {
@@ -217,19 +225,41 @@ func (s *Shard) run(p *program.Program, c *tracestream.Corpus, job Job, tap vm.B
 	return res, nil
 }
 
-// runnable is a resolved job input: a built program for registered
-// workloads, plus the decoded corpus when the workload is a trace
-// reference (prog is then the corpus's verified program).
-type runnable struct {
-	prog   *program.Program
-	corpus *tracestream.Corpus
+// stream executes one trace-file job straight from disk: the shard's
+// reader feeds the file's events batch by batch, so the run holds constant
+// memory and never decodes the stream whole — the fallback for a trace
+// whose corpus is not resident.
+func (s *Shard) stream(run runnable, job Job) (metrics.Report, error) {
+	f, err := os.Open(run.path)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	defer f.Close()
+	if err := s.reader.Reset(f); err != nil {
+		return metrics.Report{}, fmt.Errorf("%w (file %s)", err, run.path)
+	}
+	h := s.reader.Header()
+	if err := h.CheckProgram(run.prog); err != nil {
+		return metrics.Report{}, fmt.Errorf("%w (file %s)", err, run.path)
+	}
+	res, err := s.run(run.prog, nil, &s.reader, job, nil)
+	return res.Report, err
 }
 
-// progCache builds each distinct (workload, scale) program once and shares
-// it across shards: programs are immutable after Build (every index is
-// precomputed), so concurrent runs only read them. Trace-corpus references
-// resolve through tracestream.DefaultCache, which shares the decoded
-// stream the same way (and across Runners, keyed by file content).
+// runnable is a resolved job input: the built (or, for a trace reference,
+// verified) program and the job's corpus-store key. path is the stream
+// file of a trace reference and empty for a registered workload.
+type runnable struct {
+	prog *program.Program
+	key  tracestream.Key
+	path string
+}
+
+// progCache resolves each distinct (workload, scale) once and shares the
+// result across shards: programs are immutable after Build (every index is
+// precomputed), so concurrent runs only read them. A trace reference
+// resolves to its verified program and content key, never to its events —
+// those live in the Runner's store, under its budget.
 type progCache struct {
 	mu sync.Mutex
 	m  map[progKey]runnable
@@ -254,17 +284,17 @@ func (pc *progCache) get(name string, scale int) (runnable, error) {
 	}
 	var r runnable
 	if tracestream.IsRef(name) {
-		c, err := tracestream.DefaultCache.LoadRef(name)
+		k, p, err := tracestream.ResolveRef(name)
 		if err != nil {
 			return runnable{}, fmt.Errorf("sweep: %w", err)
 		}
-		r = runnable{prog: c.Prog, corpus: c}
+		r = runnable{prog: p, key: k, path: tracestream.RefPath(name)}
 	} else {
 		w, ok := workloads.Get(name)
 		if !ok {
 			return runnable{}, fmt.Errorf("sweep: unknown workload %q", name)
 		}
-		r = runnable{prog: w.Build(scale)}
+		r = runnable{prog: w.Build(scale), key: tracestream.Key{Workload: name, Scale: scale}}
 	}
 	if pc.m == nil {
 		pc.m = make(map[progKey]runnable)
@@ -274,17 +304,17 @@ func (pc *progCache) get(name string, scale int) (runnable, error) {
 }
 
 // Runner owns the reusable execution state of the sweep engine — a pool of
-// worker shards and the built-program cache — so successive runs (whole
-// grids, or contiguous ranges of one large grid) keep their pooled
-// dynopt.Scratch, Resettable selectors, and once-built programs across
-// calls. It is safe for concurrent use; a sweepd worker keeps one Runner
+// worker shards, the built-program cache, and the corpus store — so
+// successive runs (whole grids, or contiguous ranges of one large grid)
+// keep their pooled dynopt.Scratch, Resettable selectors, once-built
+// programs, and resident corpora across calls. It is safe for concurrent use; a sweepd worker keeps one Runner
 // for its whole lifetime so every job range it executes reuses the same
 // warmed state.
 type Runner struct {
 	mu     sync.Mutex
 	shards []*Shard
 	progs  progCache
-	memo   *memoTable
+	store  *tracestream.Store
 }
 
 // NewRunner returns an empty runner; shards and programs are built on first
@@ -310,29 +340,33 @@ func (r *Runner) release(s *Shard) {
 	r.mu.Unlock()
 }
 
-// ensureMemo returns the runner's memo table, creating it on first use. The
-// table — like the shard pool and program cache — lives as long as the
-// runner, so successive runs replay cells earlier runs recorded. The first
-// run to create the table fixes the corpus budget; later runs reuse it.
-func (r *Runner) ensureMemo(budgetBytes int64) *memoTable {
+// ensureStore returns the runner's corpus store, creating it on first use.
+// The store — like the shard pool and program cache — lives as long as the
+// runner, so successive runs replay corpora earlier runs recorded or
+// decoded. The first run to create the store fixes its budget; later runs
+// reuse it.
+func (r *Runner) ensureStore(budgetBytes int64) *tracestream.Store {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.memo == nil {
-		r.memo = newMemoTable(budgetBytes)
+	if r.store == nil {
+		if budgetBytes <= 0 {
+			budgetBytes = DefaultMemoBudgetBytes
+		}
+		r.store = tracestream.NewStore(budgetBytes)
 	}
-	return r.memo
+	return r.store
 }
 
-// MemoStats snapshots the runner's memoization counters (zero before any
-// memoized run).
+// MemoStats snapshots the runner's corpus-store counters (zero before any
+// run).
 func (r *Runner) MemoStats() MemoStats {
 	r.mu.Lock()
-	m := r.memo
+	st := r.store
 	r.mu.Unlock()
-	if m == nil {
+	if st == nil {
 		return MemoStats{}
 	}
-	return m.stats()
+	return st.Stats()
 }
 
 // jobSource is random access into a job enumeration; it lets the engine run
@@ -402,7 +436,8 @@ type engine struct {
 	src    jobSource
 	queues []*queue
 	runner *Runner
-	memo   *memoTable // nil when opts.Memo is MemoOff
+	store  *tracestream.Store
+	memo   bool // opts.Memo is MemoOn
 	del    *OrderedSink
 
 	mu   sync.Mutex
@@ -468,17 +503,14 @@ func (r *Runner) run(ctx context.Context, src jobSource, lo, hi int, opts Option
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var memo *memoTable
-	if opts.Memo == MemoOn {
-		memo = r.ensureMemo(opts.MemoBudgetBytes)
-	}
 	e := &engine{
 		ctx:    runCtx,
 		cancel: cancel,
 		src:    src,
 		queues: make([]*queue, shards),
 		runner: r,
-		memo:   memo,
+		store:  r.ensureStore(opts.MemoBudgetBytes),
+		memo:   opts.Memo == MemoOn,
 		del:    NewOrderedSink(lo, window, sink),
 	}
 	// Partition the range into contiguous per-shard sub-ranges; work
@@ -576,15 +608,7 @@ func (e *engine) process(i int, shard *Shard) {
 		e.fail(err)
 		return
 	}
-	var rep metrics.Report
-	switch {
-	case run.corpus != nil:
-		rep, err = shard.Replay(run.corpus, job)
-	case e.memo != nil:
-		rep, err = e.memo.run(shard, run.prog, job)
-	default:
-		rep, err = shard.Run(run.prog, job)
-	}
+	rep, err := e.dispatch(shard, run, job)
 	if err != nil {
 		e.fail(fmt.Errorf("sweep: %s under %s: %w", job.Workload, job.Selector, err))
 		return

@@ -34,8 +34,9 @@ type ServerOptions struct {
 	// way, and the memoized corpora persist across ranges and connections
 	// with the shared Runner.
 	Memo sweep.MemoMode
-	// MemoBudgetBytes bounds the worker's resident memoized corpora
-	// (<=0 means sweep.DefaultMemoBudgetBytes).
+	// MemoBudgetBytes bounds the worker's resident corpora, memo
+	// recordings and decoded trace files alike (<=0 means
+	// sweep.DefaultMemoBudgetBytes).
 	MemoBudgetBytes int64
 	// Runner, when non-nil, is the pooled execution state to serve with
 	// instead of a fresh one — cmd/sweepd passes its own so it can report

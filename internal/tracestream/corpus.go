@@ -1,11 +1,15 @@
 package tracestream
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"strings"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/program"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -29,7 +33,7 @@ type Corpus struct {
 	Stream *Stream
 	Prog   *program.Program
 	// FileDigest is the content hash of the stream file the corpus was
-	// decoded from — the cache key.
+	// decoded from — its store key.
 	FileDigest uint64
 	// edges counts the stream's control-flow edges once, for every replay
 	// to borrow; nil for a corpus built by struct literal.
@@ -38,7 +42,7 @@ type Corpus struct {
 
 // NewCorpus pairs a recorded stream with the program it ran and counts the
 // stream's edge table — the construction both the memo path
-// (MemRecorder.Corpus) and the trace-file path (Cache.Load) use.
+// (MemRecorder.Corpus) and the trace-file path (DecodeFile) use.
 func NewCorpus(s *Stream, p *program.Program) *Corpus {
 	e := new(metrics.Edges)
 	e.EnsureCap(p.Len() + 1)
@@ -54,22 +58,81 @@ func (c *Corpus) Header() Header { return c.Stream.Header }
 // concurrent ones included, and must only be read.
 func (c *Corpus) Edges() *metrics.Edges { return c.edges }
 
-// buildCorpus decodes raw stream bytes and rebuilds + verifies the program
-// named in the header.
-func buildCorpus(data []byte, fileDigest uint64) (*Corpus, error) {
+// eventBytes is the resident footprint of one arena slot.
+const eventBytes = int64(unsafe.Sizeof(vm.BlockEvent{}))
+
+// SizeBytes reports the corpus's resident footprint — the event arena plus
+// the edge table — which is what admission to a Store charges, for a
+// recording and a decoded file alike. Capacity, not length: the grown
+// backing arrays are what the process actually holds.
+func (c *Corpus) SizeBytes() int64 {
+	n := int64(cap(c.Stream.Events)) * eventBytes
+	if c.edges != nil {
+		n += c.edges.SizeBytes()
+	}
+	return n
+}
+
+// ResolveRef resolves a trace-corpus reference ("trace:<path>") without
+// decoding its events: it reads the file once to key it by content,
+// rebuilds the program its header names from the workload registry, and
+// verifies that program against the header's digest. The sweep engine
+// resolves each reference once per Runner and decodes (DecodeFile) or
+// streams the file only when a job needs its events.
+func ResolveRef(ref string) (Key, *program.Program, error) {
+	if !IsRef(ref) {
+		return Key{}, nil, fmt.Errorf("tracestream: %q is not a trace reference", ref)
+	}
+	data, err := os.ReadFile(RefPath(ref))
+	if err != nil {
+		return Key{}, nil, fmt.Errorf("tracestream: %w", err)
+	}
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return Key{}, nil, fmt.Errorf("%w (file %s)", err, RefPath(ref))
+	}
+	h := rd.Header()
+	w, ok := workloads.Get(h.Workload)
+	if !ok {
+		return Key{}, nil, fmt.Errorf("tracestream: stream records unknown workload %q", h.Workload)
+	}
+	p := w.Build(h.Scale)
+	if err := h.CheckProgram(p); err != nil {
+		return Key{}, nil, fmt.Errorf("%w (workload %s scale %d)", err, h.Workload, h.Scale)
+	}
+	return Key{Digest: fnv64(data)}, p, nil
+}
+
+// DecodeFile fully decodes the stream file at path into a corpus of
+// program p, which ResolveRef returned for the same file under key k. The
+// file must still hold the content k was taken from.
+func DecodeFile(path string, k Key, p *program.Program) (*Corpus, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("tracestream: %w", err)
+	}
+	if fnv64(data) != k.Digest {
+		return nil, fmt.Errorf("tracestream: %s changed since it was resolved", path)
+	}
 	s, err := DecodeBytes(data)
 	if err != nil {
-		return nil, err
-	}
-	w, ok := workloads.Get(s.Header.Workload)
-	if !ok {
-		return nil, fmt.Errorf("tracestream: stream records unknown workload %q", s.Header.Workload)
-	}
-	p := w.Build(s.Header.Scale)
-	if err := s.Header.CheckProgram(p); err != nil {
-		return nil, fmt.Errorf("%w (workload %s scale %d)", err, s.Header.Workload, s.Header.Scale)
+		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
 	c := NewCorpus(s, p)
-	c.FileDigest = fileDigest
+	c.FileDigest = k.Digest
 	return c, nil
+}
+
+// fnv64 is FNV-1a over the raw stream bytes — a file's content key.
+func fnv64(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }

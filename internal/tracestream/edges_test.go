@@ -19,13 +19,13 @@ import (
 
 // TestCorpusEdgesMatchLive pins the edge table every replay borrows: for
 // every registered workload, the table on a MemRecorder corpus (the memo
-// path) and on a file corpus loaded through Cache.Load (the trace: path)
+// path) and on a file corpus loaded through Store.LoadRef (the trace: path)
 // equals the live run's collector, and replaying the corpus concurrently
 // under all five selectors leaves it bit-identical.
 func TestCorpusEdgesMatchLive(t *testing.T) {
 	const scale = 25
 	dir := t.TempDir()
-	cache := tracestream.NewCache(1)
+	store := tracestream.NewStore(64 << 20)
 	for _, name := range workloads.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -53,7 +53,7 @@ func TestCorpusEdgesMatchLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			file, err := cache.Load(path)
+			file, err := store.LoadRef(tracestream.RefPrefix + path)
 			if err != nil {
 				t.Fatal(err)
 			}

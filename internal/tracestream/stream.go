@@ -98,8 +98,8 @@ func (h *Header) CheckProgram(p *program.Program) error {
 	return nil
 }
 
-// Stream is a fully decoded in-memory recording: the corpus form the
-// digest-keyed cache holds so repeated sweeps replay pre-decoded events.
+// Stream is a fully decoded in-memory recording: the corpus form a Store
+// holds so repeated jobs replay pre-decoded events.
 type Stream struct {
 	Header Header
 	Events []vm.BlockEvent
@@ -221,8 +221,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // Reset re-targets the reader to a new stream, reusing its buffers, and
-// decodes the new header.
+// decodes the new header. A zero Reader is ready for Reset.
 func (d *Reader) Reset(r io.Reader) error {
+	if d.br == nil {
+		d.br = bufio.NewReader(r)
+	}
 	d.br.Reset(r)
 	d.prevSrc, d.prevTgt = 0, 0
 	d.read, d.taken = 0, 0

@@ -16,7 +16,9 @@
 # remote adaptive and trace-replay runs must be byte-identical; worker
 # logs are dumped when the diff fails; the local run is additionally
 # diffed memo-on vs -memo=off, and workers memoize by default, so the
-# smoke pins the record-once/replay-many layer locally and end to end),
+# smoke pins the record-once/replay-many layer locally and end to end;
+# one worker runs with -memobudget 1, so rejected corpora and streamed
+# trace files are diffed too),
 # a bench-regression gate
 # comparing fresh BenchmarkPipeline/BenchmarkLEI/BenchmarkAdaptive/
 # BenchmarkCombine/BenchmarkSweep/BenchmarkSweepMemo/BenchmarkReplay
@@ -71,7 +73,10 @@ smokegrid="workloads=gzip,vpr,phased,trace:$workdir/gzip.trace;selectors=net,lei
 go build -o "$workdir/sweepd" ./cmd/sweepd
 go build -o "$workdir/sweep" ./cmd/sweep
 "$workdir/sweepd" -listen 127.0.0.1:0 >"$workdir/w1.log" & w1pid=$!
-"$workdir/sweepd" -listen 127.0.0.1:0 >"$workdir/w2.log" & w2pid=$!
+# The second worker's one-byte corpus budget rejects every corpus: its
+# memo cells run live and its trace:<path> cell streams from disk, so the
+# diff below also pins both fallbacks end to end.
+"$workdir/sweepd" -listen 127.0.0.1:0 -memobudget 1 >"$workdir/w2.log" & w2pid=$!
 # Each worker prints "sweepd: listening on <addr>" once bound.
 for log in "$workdir/w1.log" "$workdir/w2.log"; do
     tries=0
