@@ -1,13 +1,17 @@
-// Command regionsim runs one workload under one region-selection algorithm
-// and prints the full metric report:
+// Command regionsim runs one program under one or more region-selection
+// algorithms and prints the full metric report of each run:
 //
 //	regionsim -workload gcc -selector lei
-//	regionsim -workload fig2-loop-call -selector net -regions
-//	regionsim -workload mcf -all            # all selectors side by side
-//	regionsim -list                         # list workloads and selectors
+//	regionsim -workload gcc -selector net,lei      # reports, then a side-by-side table
+//	regionsim -workload mcf -selector all          # every selector side by side
+//	regionsim -workload trace:gzip.trace           # replay a cmd/tracerec recording
+//	regionsim -workload asm:examples/programs/spin.asm -selector lei
+//	regionsim -list                                # list workloads and selectors
 //
-// Use -asm FILE to simulate a program written in the textual assembly
-// syntax of internal/asm instead of a named workload.
+// When more than one selector runs, the text output ends with a table of
+// the headline metrics, one column per selector, plus each later
+// selector's ratio to the first. cmd/traceviz renders the selected regions;
+// cmd/tracerec records trace files.
 package main
 
 import (
@@ -17,35 +21,28 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"strings"
 
-	"repro"
-	"repro/internal/asm"
+	"repro/internal/cli"
 	"repro/internal/codecache"
+	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/program"
-	"repro/internal/tracestream"
-	"repro/internal/vm"
-	"repro/internal/workloads"
+	"repro/internal/sweep"
 )
 
 func main() {
-	workload := flag.String("workload", "fig2-loop-call", "workload name (see -list)")
-	selector := flag.String("selector", "net", "selector name (see -list)")
-	asmFile := flag.String("asm", "", "assemble and run this file instead of a named workload")
-	scale := flag.Int("scale", 0, "workload scale override")
-	all := flag.Bool("all", false, "run every selector on the workload")
-	regions := flag.Bool("regions", false, "dump the selected regions")
+	workload := flag.String("workload", "fig2-loop-call", "workload: a registered name, trace:<path> or asm:<path> (see -list)")
+	selector := flag.String("selector", "net", "comma-separated selector names, or all (see -list)")
+	scale := flag.Int("scale", 0, "workload scale override (registered workloads only)")
 	opt := flag.Bool("opt", false, "print the optimizer summary (paper §4.4)")
 	cacheLimit := flag.Int("cachelimit", 0, "bounded code cache size in bytes (0 = unbounded)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
 	saveCache := flag.String("savecache", "", "write the final code-cache snapshot to this file")
 	csvOut := flag.String("csv", "", "write per-region statistics as CSV to this file")
 	loadCache := flag.String("loadcache", "", "preload a code-cache snapshot (same workload) before the run")
-	record := flag.String("record", "", "record the block-event stream to this file while running (internal/tracestream)")
-	replay := flag.String("replay", "", "drive the simulation from a recorded stream instead of the VM")
 	list := flag.Bool("list", false, "list workloads and selectors, then exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
@@ -77,37 +74,22 @@ func main() {
 	}
 
 	if *list {
-		names := repro.Workloads()
-		sort.Strings(names)
-		fmt.Println("workloads:")
-		for _, n := range names {
-			w, _ := repro.GetWorkload(n)
-			fmt.Printf("  %-18s %s\n", n, w.Description)
-		}
-		fmt.Println("selectors:")
-		for _, s := range repro.SelectorNames() {
-			fmt.Printf("  %s\n", s)
-		}
+		cli.PrintList(os.Stdout, true)
 		return
 	}
 
-	prog, name, err := loadProgram(*asmFile, *workload, *scale)
+	target, err := cli.Resolve(*workload, *scale)
 	if err != nil {
 		fail(err)
 	}
-	if *record != "" && *replay != "" {
-		fail(fmt.Errorf("-record needs a live VM run; it cannot be combined with -replay"))
+	sels := strings.Split(*selector, ",")
+	if *selector == "all" {
+		sels = sweep.SelectorNames()
 	}
-	var stream *tracestream.Stream
-	if *replay != "" {
-		data, rerr := os.ReadFile(*replay)
-		if rerr != nil {
-			fail(rerr)
-		}
-		if stream, err = tracestream.DecodeBytes(data); err != nil {
-			fail(err)
-		}
-		if err := stream.Header.CheckProgram(prog); err != nil {
+	// Build every selector before the first run, so a typo fails fast.
+	selectors := make([]core.Selector, len(sels))
+	for i, s := range sels {
+		if selectors[i], err = sweep.NewSelector(s, core.Params{}); err != nil {
 			fail(err)
 		}
 	}
@@ -123,51 +105,17 @@ func main() {
 			fail(err)
 		}
 	}
-	sels := []string{*selector}
-	if *all {
-		sels = repro.SelectorNames()
-	}
-	for _, selName := range sels {
-		sel, err := repro.NewSelector(selName, repro.Params{})
-		if err != nil {
-			fail(err)
-		}
-		cfg := dynopt.Config{
+	reports := make([]metrics.Report, len(sels))
+	for i, sel := range selectors {
+		res, err := target.Run(dynopt.Config{
 			Selector:        sel,
-			VM:              vm.Config{},
 			CacheLimitBytes: *cacheLimit,
 			Preload:         preload,
-		}
-		var rec *tracestream.Recorder
-		if *record != "" {
-			// Tap the live run's event stream: the recording captures the
-			// exact stream that produced this report, no second run.
-			rec = tracestream.NewRecorder(prog, name, *scale)
-			cfg.Tap = rec
-		}
-		var res dynopt.Result
-		if stream != nil {
-			res, err = dynopt.RunEvents(prog, cfg, stream.Events,
-				stream.Header.FinalPC, stream.Header.Instrs)
-		} else {
-			res, err = dynopt.Run(prog, cfg)
-		}
+		})
 		if err != nil {
 			fail(err)
 		}
-		if rec != nil {
-			f, ferr := os.Create(*record)
-			if ferr != nil {
-				fail(ferr)
-			}
-			ferr = rec.Finish(f, res.VMStats)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-			if ferr != nil {
-				fail(ferr)
-			}
-		}
+		reports[i] = res.Report
 		if *csvOut != "" {
 			f, err := os.Create(*csvOut)
 			if err != nil {
@@ -194,7 +142,6 @@ func main() {
 				fail(err)
 			}
 		}
-		res.Report.Workload = name
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -205,32 +152,63 @@ func main() {
 			fmt.Print(res.Report)
 		}
 		if *opt {
-			printOptimizer(prog, res.Cache)
-		}
-		if *regions {
-			dumpRegions(prog, res.Cache)
+			printOptimizer(target.Prog, res.Cache)
 		}
 		fmt.Println()
 	}
+	if len(sels) > 1 && !*jsonOut {
+		printComparison(target.Name, sels, reports)
+	}
 }
 
-func loadProgram(asmFile, workload string, scale int) (*program.Program, string, error) {
-	if asmFile != "" {
-		src, err := os.ReadFile(asmFile)
-		if err != nil {
-			return nil, "", err
-		}
-		p, err := asm.Parse(string(src))
-		if err != nil {
-			return nil, "", err
-		}
-		return p, asmFile, nil
+// comparisonRows are the headline metrics of the side-by-side table, each
+// with the format of its value columns.
+var comparisonRows = []struct {
+	name, format string
+	value        func(r *metrics.Report) float64
+}{
+	{"hit rate %", "%14.2f", func(r *metrics.Report) float64 { return 100 * r.HitRate }},
+	{"regions", "%14.0f", func(r *metrics.Report) float64 { return float64(r.Regions) }},
+	{"code expansion", "%14.0f", func(r *metrics.Report) float64 { return float64(r.CodeExpansion) }},
+	{"exit stubs", "%14.0f", func(r *metrics.Report) float64 { return float64(r.Stubs) }},
+	{"est. cache bytes", "%14.0f", func(r *metrics.Report) float64 { return float64(r.EstimatedBytes) }},
+	{"transitions", "%14.0f", func(r *metrics.Report) float64 { return float64(r.Transitions) }},
+	{"transition reach B", "%14.0f", func(r *metrics.Report) float64 { return float64(r.TransitionReach) }},
+	{"spanned cycles %", "%14.1f", func(r *metrics.Report) float64 { return 100 * r.SpannedRatio }},
+	{"executed cycles %", "%14.1f", func(r *metrics.Report) float64 { return 100 * r.ExecutedRatio }},
+	{"cover90", "%14.0f", func(r *metrics.Report) float64 { return float64(r.CoverSet90) }},
+	{"counters high-water", "%14.0f", func(r *metrics.Report) float64 { return float64(r.CountersHighWater) }},
+	{"exit-dominated %", "%14.1f", func(r *metrics.Report) float64 { return 100 * r.ExitDominatedRatio }},
+	{"links", "%14.0f", func(r *metrics.Report) float64 { return float64(r.Links) }},
+}
+
+// printComparison prints the headline metrics of every run side by side,
+// then each later run's ratio to the first ("-" where the first is 0).
+func printComparison(workload string, sels []string, reports []metrics.Report) {
+	fmt.Printf("workload %q: %s\n\n", workload, strings.Join(sels, " vs "))
+	fmt.Printf("%-22s", "metric")
+	for _, s := range sels {
+		fmt.Printf(" %14s", s)
 	}
-	w, ok := workloads.Get(workload)
-	if !ok {
-		return nil, "", fmt.Errorf("unknown workload %q (try -list)", workload)
+	for _, s := range sels[1:] {
+		fmt.Printf(" %10s", s+"/"+sels[0])
 	}
-	return w.Build(scale), workload, nil
+	fmt.Println()
+	for _, row := range comparisonRows {
+		fmt.Printf("%-22s", row.name)
+		for i := range reports {
+			fmt.Printf(" "+row.format, row.value(&reports[i]))
+		}
+		first := row.value(&reports[0])
+		for i := range reports[1:] {
+			ratio := "-"
+			if first != 0 {
+				ratio = fmt.Sprintf("%.3f", row.value(&reports[1+i])/first)
+			}
+			fmt.Printf(" %10s", ratio)
+		}
+		fmt.Println()
+	}
 }
 
 func printOptimizer(p *program.Program, cache *codecache.Cache) {
@@ -238,21 +216,6 @@ func printOptimizer(p *program.Program, cache *codecache.Cache) {
 	fmt.Printf("  optimizer: cyclic=%d/%d fallthrough-edges=%d/%d jumps-removed=%d invariant=%d hoistable=%d\n",
 		s.Cyclic, s.Regions, s.FallThroughs, s.PossibleFallEdges,
 		s.JumpsRemoved, s.InvariantCandidates, s.Hoistable)
-}
-
-func dumpRegions(p *program.Program, cache *codecache.Cache) {
-	for _, r := range cache.AllRegions() {
-		fmt.Printf("  region %d: %s entry=%d blocks=%d instrs=%d stubs=%d cyclic=%v execs=%d cycles=%d\n",
-			r.ID, r.Kind, r.Entry, len(r.Blocks), r.Instrs, r.Stubs, r.Cyclic, r.Traversals, r.CycleTraversals)
-		for i, b := range r.Blocks {
-			succ := ""
-			for _, s := range r.Succs[i] {
-				succ += fmt.Sprintf(" ->%d", r.Blocks[s].Start)
-			}
-			fmt.Printf("    block @%d len=%d%s\n", b.Start, b.Len, succ)
-		}
-	}
-	_ = p
 }
 
 func fail(err error) {

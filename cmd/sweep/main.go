@@ -39,10 +39,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/sweep"
 	"repro/internal/sweepnet"
@@ -62,7 +62,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		printList()
+		printList(os.Stdout)
 		return
 	}
 	grid, err := parseGrid(*gridSpec)
@@ -294,24 +294,14 @@ func newSink(name string, out io.Writer) (sweep.ResultSink, func(), error) {
 	}
 }
 
-func printList() {
-	fmt.Println("grid keys:")
+// printList writes the grid keys, then the workloads and selectors a grid
+// accepts: every registered name and trace:<path>, but not asm:<path>.
+func printList(w io.Writer) {
+	fmt.Fprintln(w, "grid keys:")
 	for _, k := range gridKeys {
-		fmt.Printf("  %-14s %s\n", k.key, k.doc)
+		fmt.Fprintf(w, "  %-14s %s\n", k.key, k.doc)
 	}
-	names := workloads.Names()
-	sort.Strings(names)
-	fmt.Println("workloads:")
-	for _, n := range names {
-		w, _ := workloads.Get(n)
-		fmt.Printf("  %-18s %s\n", n, w.Description)
-	}
-	fmt.Printf("  %-18s %s\n", "trace:<path>",
-		"recorded branch-event stream (cmd/tracerec); replays through the selectors without the VM")
-	fmt.Println("selectors:")
-	for _, s := range []string{sweep.NET, sweep.LEI, sweep.NETComb, sweep.LEIComb, sweep.MojoNET, sweep.BOA, sweep.WRS} {
-		fmt.Printf("  %s\n", s)
-	}
+	cli.PrintList(w, false)
 }
 
 func fail(err error) {

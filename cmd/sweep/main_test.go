@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/csv"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sweep"
 )
 
@@ -72,5 +74,28 @@ func TestParseGridRejectsUnknownKey(t *testing.T) {
 	}
 	if _, err := parseGrid("workloads=no-such-workload"); err == nil {
 		t.Fatal("parseGrid accepted an unknown workload")
+	}
+}
+
+// TestListSelectorsMatchRegistry pins -list to the selector registry: every
+// name listed under "selectors:" builds, and every registered name is
+// listed.
+func TestListSelectorsMatchRegistry(t *testing.T) {
+	var out strings.Builder
+	printList(&out)
+	_, section, ok := strings.Cut(out.String(), "selectors:\n")
+	if !ok {
+		t.Fatalf("-list prints no selectors section:\n%s", out.String())
+	}
+	listed := strings.Fields(section)
+	for _, name := range listed {
+		if _, err := sweep.NewSelector(name, core.DefaultParams()); err != nil {
+			t.Errorf("-list names %q, which does not build: %v", name, err)
+		}
+	}
+	for _, name := range sweep.SelectorNames() {
+		if !slices.Contains(listed, name) {
+			t.Errorf("-list omits registered selector %q", name)
+		}
 	}
 }

@@ -1,10 +1,14 @@
-// Command traceviz runs a workload under a selector and renders each
+// Command traceviz runs a program under a selector and renders each
 // selected region against the program's disassembly, making it easy to see
 // what the algorithms picked — which traces span cycles, where exit stubs
 // fall, and how combined regions branch internally:
 //
 //	traceviz -workload fig3-nested-loops -selector lei
 //	traceviz -workload gzip -selector lei+comb -disasm
+//	traceviz -workload asm:examples/programs/spin.asm
+//	traceviz -workload trace:gzip.trace       # regions of a cmd/tracerec recording
+//
+// -workload takes the same references as cmd/regionsim (see internal/cli).
 package main
 
 import (
@@ -13,36 +17,36 @@ import (
 	"os"
 	"strings"
 
-	"repro"
+	"repro/internal/cli"
 	"repro/internal/codecache"
+	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/program"
-	"repro/internal/vm"
-	"repro/internal/workloads"
+	"repro/internal/sweep"
 )
 
 func main() {
-	workload := flag.String("workload", "fig3-nested-loops", "workload name")
+	workload := flag.String("workload", "fig3-nested-loops", "workload: a registered name, trace:<path> or asm:<path> (see regionsim -list)")
 	selector := flag.String("selector", "lei", "selector name")
-	scale := flag.Int("scale", 0, "workload scale override")
+	scale := flag.Int("scale", 0, "workload scale override (registered workloads only)")
 	disasm := flag.Bool("disasm", false, "print full program disassembly first")
 	emit := flag.Bool("emit", false, "also print each region's emitted cache image (layout + stubs)")
 	dot := flag.String("dot", "", "write the region link graph as Graphviz DOT to this file")
 	flag.Parse()
 
-	w, ok := workloads.Get(*workload)
-	if !ok {
-		fail(fmt.Errorf("unknown workload %q", *workload))
-	}
-	prog := w.Build(*scale)
-	sel, err := repro.NewSelector(*selector, repro.Params{})
+	target, err := cli.Resolve(*workload, *scale)
 	if err != nil {
 		fail(err)
 	}
-	res, err := dynopt.Run(prog, dynopt.Config{Selector: sel, VM: vm.Config{}})
+	prog := target.Prog
+	sel, err := sweep.NewSelector(*selector, core.Params{})
+	if err != nil {
+		fail(err)
+	}
+	res, err := target.Run(dynopt.Config{Selector: sel})
 	if err != nil {
 		fail(err)
 	}
@@ -63,14 +67,14 @@ func main() {
 		}
 	}
 	fmt.Printf("%s under %s: %d regions, %d instructions copied, %d stubs\n\n",
-		*workload, *selector, res.Report.Regions, res.Report.CodeExpansion, res.Report.Stubs)
+		target.Name, *selector, res.Report.Regions, res.Report.CodeExpansion, res.Report.Stubs)
 	for _, r := range res.Cache.AllRegions() {
 		head := fmt.Sprintf("region %d (%s)", r.ID, r.Kind)
 		if r.Cyclic {
 			head += " [spans cycle]"
 		}
-		fmt.Printf("%s  entry=%d  stubs=%d  entered=%d  traversals=%d  cycle-traversals=%d\n",
-			head, r.Entry, r.Stubs, r.Entries, r.Traversals, r.CycleTraversals)
+		fmt.Printf("%s  entry=%d  blocks=%d  instrs=%d  stubs=%d  entered=%d  traversals=%d  cycle-traversals=%d\n",
+			head, r.Entry, len(r.Blocks), r.Instrs, r.Stubs, r.Entries, r.Traversals, r.CycleTraversals)
 		for i, b := range r.Blocks {
 			var succs []string
 			for _, s := range r.Succs[i] {

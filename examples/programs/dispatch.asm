@@ -1,7 +1,7 @@
 ; dispatch.asm — a bytecode-interpreter shape: an indirect jump through a
 ; table rotates over three handlers. Run with:
 ;
-;   go run ./cmd/regionsim -asm examples/programs/dispatch.asm -all
+;   go run ./cmd/regionsim -workload asm:examples/programs/dispatch.asm -selector all
 ;
 ; The hot cycle passes through the indirect jump; compare how each
 ; selector copes.

@@ -1,6 +1,6 @@
 ; spin.asm — a minimal hot loop with a helper call, runnable with:
 ;
-;   go run ./cmd/regionsim -asm examples/programs/spin.asm -selector lei -regions
+;   go run ./cmd/traceviz -workload asm:examples/programs/spin.asm -selector lei
 ;
 ; The helper sits below main, so the call is a backward branch: NET cannot
 ; span the loop cycle (paper Figure 2), LEI can.

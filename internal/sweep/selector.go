@@ -24,9 +24,16 @@ const (
 // presentation order.
 func PaperSelectors() []string { return []string{NET, LEI, NETComb, LEIComb} }
 
-// NewSelector builds a fresh selector for one run. Sweep shards prefer
-// recycling a pooled core.Resettable selector and fall back to this factory
-// for the rest.
+// SelectorNames returns every name NewSelector accepts, in presentation
+// order: the paper's four, then the rest.
+func SelectorNames() []string {
+	return append(PaperSelectors(), Adaptive, MojoNET, BOA, WRS)
+}
+
+// NewSelector builds a fresh selector for one run; it is the one
+// name-to-selector table, which the repro facade and every command use.
+// Sweep shards prefer recycling a pooled core.Resettable selector and fall
+// back to this factory for the rest.
 func NewSelector(name string, params core.Params) (core.Selector, error) {
 	switch name {
 	case NET:
@@ -46,6 +53,6 @@ func NewSelector(name string, params core.Params) (core.Selector, error) {
 	case WRS:
 		return core.NewWRS(params), nil
 	default:
-		return nil, fmt.Errorf("sweep: unknown selector %q", name)
+		return nil, fmt.Errorf("sweep: unknown selector %q (known: %v)", name, SelectorNames())
 	}
 }

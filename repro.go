@@ -25,6 +25,7 @@ import (
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
 	"repro/internal/program"
+	"repro/internal/sweep"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -50,50 +51,26 @@ type (
 
 // Selector names accepted by NewSelector and RunWorkload.
 const (
-	SelectorNET     = "net"
-	SelectorLEI     = "lei"
-	SelectorNETComb = "net+comb"
-	SelectorLEIComb = "lei+comb"
+	SelectorNET     = sweep.NET
+	SelectorLEI     = sweep.LEI
+	SelectorNETComb = sweep.NETComb
+	SelectorLEIComb = sweep.LEIComb
 	// SelectorAdaptive is the per-phase meta-selector switching between
 	// the four static policies online (DESIGN.md §7).
-	SelectorAdaptive = "adaptive"
+	SelectorAdaptive = sweep.Adaptive
 	// Related-work schemes (paper §5).
-	SelectorMojoNET = "mojo-net"
-	SelectorBOA     = "boa"
-	SelectorWRS     = "wrs"
+	SelectorMojoNET = sweep.MojoNET
+	SelectorBOA     = sweep.BOA
+	SelectorWRS     = sweep.WRS
 )
 
 // SelectorNames lists the accepted selector names in presentation order.
-func SelectorNames() []string {
-	return []string{
-		SelectorNET, SelectorLEI, SelectorNETComb, SelectorLEIComb,
-		SelectorAdaptive, SelectorMojoNET, SelectorBOA, SelectorWRS,
-	}
-}
+func SelectorNames() []string { return sweep.SelectorNames() }
 
 // NewSelector constructs a fresh selector by name. Selectors are stateful
 // and single-use: build a new one per run.
 func NewSelector(name string, params Params) (Selector, error) {
-	switch name {
-	case SelectorNET:
-		return core.NewNET(params), nil
-	case SelectorLEI:
-		return core.NewLEI(params), nil
-	case SelectorNETComb:
-		return core.NewCombiner(core.BaseNET, params), nil
-	case SelectorLEIComb:
-		return core.NewCombiner(core.BaseLEI, params), nil
-	case SelectorAdaptive:
-		return core.NewAdaptive(params), nil
-	case SelectorMojoNET:
-		return core.NewMojoNET(params, 30), nil
-	case SelectorBOA:
-		return core.NewBOA(params), nil
-	case SelectorWRS:
-		return core.NewWRS(params), nil
-	default:
-		return nil, fmt.Errorf("repro: unknown selector %q (known: %v)", name, SelectorNames())
-	}
+	return sweep.NewSelector(name, params)
 }
 
 // Options configures a run.

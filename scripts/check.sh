@@ -11,7 +11,10 @@
 # event arenas and edge tables, region walks), a
 # sweep smoke run through the cmd/sweep CLI covering the adaptive
 # selector next to the statics and a trace:<path> corpus recorded by
-# cmd/tracerec, a distributed smoke run (two loopback sweepd workers,
+# cmd/tracerec, a CLI smoke run (regionsim's trace:<path> replay diffed
+# against the live run it recorded, a two-selector regionsim run diffed
+# against the two single-selector runs, and traceviz on asm:<path> and
+# trace:<path> references), a distributed smoke run (two loopback sweepd workers,
 # jsonl output diffed against the local run — docs/SWEEPD.md — so
 # remote adaptive and trace-replay runs must be byte-identical; worker
 # logs are dumped when the diff fails; the local run is additionally
@@ -27,8 +30,8 @@
 # twice (catching order- or state-dependent divergence between the
 # dense production selectors and their frozen map-based references, the
 # pooled Combiner and the adaptive meta-selector included), and a short
-# fuzz pass over the selector, wire-codec, trace-stream, and lint
-# directive-grammar fuzz targets.
+# fuzz pass over the selector, wire-codec, trace-stream, assembler,
+# compact-trace, and lint directive-grammar fuzz targets.
 #
 #   scripts/check.sh [fuzztime]
 #
@@ -64,6 +67,29 @@ go run ./cmd/tracerec -info "$workdir/gzip.trace"
 go run ./cmd/sweep \
     -grid "workloads=gzip,vpr,trace:$workdir/gzip.trace;selectors=net,lei,adaptive;scale=40;cachelimit=0,400" \
     -shards 2 -sink none
+
+echo "== CLI smoke: regionsim and traceviz on name, trace: and asm: references =="
+go build -o "$workdir/regionsim" ./cmd/regionsim
+go build -o "$workdir/traceviz" ./cmd/traceviz
+"$workdir/regionsim" -workload gzip -scale 40 -selector net >"$workdir/net.txt"
+"$workdir/regionsim" -workload gzip -scale 40 -selector lei >"$workdir/lei.txt"
+"$workdir/regionsim" -workload "trace:$workdir/gzip.trace" -selector lei >"$workdir/trace-lei.txt"
+diff "$workdir/lei.txt" "$workdir/trace-lei.txt" || {
+    echo "check.sh: regionsim trace:<path> replay differs from the live run it recorded"
+    exit 1
+}
+# A multi-selector run prints each single-selector run's report block in
+# order, then the side-by-side table.
+"$workdir/regionsim" -workload gzip -scale 40 -selector net,lei >"$workdir/both.txt"
+cat "$workdir/net.txt" "$workdir/lei.txt" >"$workdir/singles.txt"
+head -n "$(wc -l <"$workdir/singles.txt")" "$workdir/both.txt" >"$workdir/both-reports.txt"
+diff "$workdir/singles.txt" "$workdir/both-reports.txt" || {
+    echo "check.sh: regionsim -selector net,lei reports differ from the single-selector runs"
+    exit 1
+}
+"$workdir/traceviz" -workload asm:examples/programs/spin.asm >/dev/null
+"$workdir/traceviz" -workload "trace:$workdir/gzip.trace" >/dev/null
+echo "CLI references agree"
 
 echo "== distributed smoke run: 2 loopback sweepd workers, jsonl diff =="
 # The trace:<path> cell rides along: loopback workers share this
@@ -137,6 +163,12 @@ if [ "$fuzztime" != "0" ]; then
     go test -run '^$' -fuzz '^FuzzJobCodec$' -fuzztime "$fuzztime" ./internal/sweepnet/
     echo "== fuzz: FuzzStreamDecode ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzStreamDecode$' -fuzztime "$fuzztime" ./internal/tracestream/
+    echo "== fuzz: FuzzParse ($fuzztime) =="
+    go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$fuzztime" ./internal/asm/
+    echo "== fuzz: FuzzParseNoCrashOnGarbage ($fuzztime) =="
+    go test -run '^$' -fuzz '^FuzzParseNoCrashOnGarbage$' -fuzztime "$fuzztime" ./internal/asm/
+    echo "== fuzz: FuzzCompactDecode ($fuzztime) =="
+    go test -run '^$' -fuzz '^FuzzCompactDecode$' -fuzztime "$fuzztime" ./internal/core/
     echo "== fuzz: FuzzDirectives ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzDirectives$' -fuzztime "$fuzztime" ./internal/lint/
 fi
