@@ -544,9 +544,12 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkExtraFigures regenerates each extension study (sensitivity
-// sweeps, ablations, random corpus, bounded cache, optimizer, related
-// work, persistent cache, loop coverage) at a reduced scale.
+// BenchmarkExtraFigures regenerates each of the thirteen extension studies
+// (ExtraIDs: the T_prof, history-buffer and threshold sweeps, ablations,
+// random corpus, bounded cache, optimizer, related work, persistent cache,
+// loop coverage, i-cache, input sensitivity, and dynamic selection) at a
+// reduced scale. Each study records every program it runs once and replays
+// it for the study's other runs.
 func BenchmarkExtraFigures(b *testing.B) {
 	for _, id := range experiments.ExtraIDs() {
 		b.Run(id, func(b *testing.B) {

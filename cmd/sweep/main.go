@@ -22,9 +22,9 @@
 // is a worker-side setting in remote mode: each sweepd picks its own
 // shard count (sweepd -shards), and setting -shards here warns.
 //
-// Grids memoize by default (docs/PERFORMANCE.md): the first job touching a
-// (workload, scale) cell records the VM's branch-event stream in memory and
-// every other job of the cell replays it, so multi-point parameter axes run
+// Grids memoize by default (docs/PERFORMANCE.md): the first job running a
+// program records the VM's branch-event stream in memory and every other
+// job of the same program replays it, so multi-point parameter axes run
 // severalfold faster with byte-identical output. -memo=off forces every job
 // live; -v prints the memo hit/miss/evict/fallback counters to stderr. Like
 // -shards, -memo is a worker-side setting in remote mode (sweepd -memo).

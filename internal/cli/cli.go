@@ -77,16 +77,14 @@ func Resolve(ref string, scale int) (*Target, error) {
 }
 
 // Run simulates the target under cfg and stamps the target's name on the
-// report. A trace target replays its recording against the corpus's edge
-// table (dynopt.RunEdges), as a sweep shard replays a trace cell, so its
-// report equals the live run of the recorded workload and scale; every
-// other target runs live.
+// report. A trace target replays its recording (Corpus.Replay), as a sweep
+// shard replays a trace cell, so its report equals the live run of the
+// recorded workload and scale; every other target runs live.
 func (t *Target) Run(cfg dynopt.Config) (dynopt.Result, error) {
 	var res dynopt.Result
 	var err error
-	if c := t.corpus; c != nil {
-		h := c.Header()
-		res, err = dynopt.RunEdges(t.Prog, cfg, c.Stream.Events, c.Edges(), h.FinalPC, h.Instrs)
+	if t.corpus != nil {
+		res, err = t.corpus.Replay(cfg)
 	} else {
 		res, err = dynopt.Run(t.Prog, cfg)
 	}

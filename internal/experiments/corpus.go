@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/stats"
-	"repro/internal/vm"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -18,7 +18,7 @@ import (
 // RandomCorpus runs NET, LEI, and their combined variants over n seeded
 // random programs and reports suite-level ratios, mirroring the shape of
 // the headline figures.
-func RandomCorpus(n int, baseSeed int64) (Figure, error) {
+func RandomCorpus(r *sweep.Runner, n int, baseSeed int64) (Figure, error) {
 	if n <= 0 {
 		n = 20
 	}
@@ -29,7 +29,6 @@ func RandomCorpus(n int, baseSeed int64) (Figure, error) {
 	for _, sel := range AllSelectors() {
 		sums[sel] = &agg{}
 	}
-	used := 0
 	for i := 0; i < n; i++ {
 		prog := workloads.Random(workloads.GenConfig{
 			Seed:       baseSeed + int64(i),
@@ -38,13 +37,8 @@ func RandomCorpus(n int, baseSeed int64) (Figure, error) {
 			Iters:      300, // loops must comfortably exceed the selection thresholds
 			Constructs: 4 + i%5,
 		})
-		used++
 		for _, sel := range AllSelectors() {
-			s, err := NewSelector(sel, core.DefaultParams())
-			if err != nil {
-				return Figure{}, err
-			}
-			res, err := dynopt.Run(prog, dynopt.Config{Selector: s, VM: vm.Config{}})
+			res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
 			if err != nil {
 				return Figure{}, fmt.Errorf("experiments: random corpus seed %d under %s: %w",
 					baseSeed+int64(i), sel, err)
@@ -62,15 +56,15 @@ func RandomCorpus(n int, baseSeed int64) (Figure, error) {
 	for _, sel := range AllSelectors() {
 		a := sums[sel]
 		t.Add(sel,
-			100*a.hit/float64(used),
-			a.transitions/float64(used),
-			a.cover/float64(used),
-			a.expansion/float64(used),
-			a.stubs/float64(used))
+			100*a.hit/float64(n),
+			a.transitions/float64(n),
+			a.cover/float64(n),
+			a.expansion/float64(n),
+			a.stubs/float64(n))
 	}
 	return Figure{
 		ID:    "random-corpus",
-		Title: fmt.Sprintf("suite averages over %d random structured programs (robustness)", used),
+		Title: fmt.Sprintf("suite averages over %d random structured programs (robustness)", n),
 		Table: t,
 		Takeaway: "the paper's ordering (LEI fewer transitions and smaller cover sets " +
 			"than NET; combination improving both) should survive unshaped programs",
@@ -80,25 +74,16 @@ func RandomCorpus(n int, baseSeed int64) (Figure, error) {
 // BoundedCache sweeps code-cache limits and reports flush counts and hit
 // rates for NET vs combined LEI, quantifying the paper's §2.3 prediction
 // that selecting less code helps bounded caches.
-func BoundedCache(scale int) (Figure, error) {
+func BoundedCache(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"NET-hit%", "NET-flushes", "cLEI-hit%", "cLEI-flushes"},
 		"%9.2f", "%11.0f", "%10.2f", "%12.0f")
 	benchesUsed := []string{"gcc", "perlbmk", "vortex"}
 	for _, limit := range []int{0, 2048, 1024, 512} {
 		var netHit, netFlush, cleiHit, cleiFlush float64
 		for _, b := range benchesUsed {
-			w := workloads.MustGet(b)
-			prog := w.Build(scale)
+			prog := workloads.MustGet(b).Build(scale)
 			for _, sel := range []string{NET, LEIComb} {
-				s, err := NewSelector(sel, core.DefaultParams())
-				if err != nil {
-					return Figure{}, err
-				}
-				res, err := dynopt.Run(prog, dynopt.Config{
-					Selector:        s,
-					VM:              vm.Config{},
-					CacheLimitBytes: limit,
-				})
+				res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{CacheLimitBytes: limit})
 				if err != nil {
 					return Figure{}, err
 				}

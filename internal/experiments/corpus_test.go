@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dynopt"
+	"repro/internal/sweep"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -48,7 +49,7 @@ func TestRandomCorpusOrderings(t *testing.T) {
 }
 
 func TestBoundedCacheFigure(t *testing.T) {
-	f, err := BoundedCache(smallScale * 4)
+	f, err := BoundedCache(sweep.NewRunner(), smallScale*4)
 	if err != nil {
 		t.Fatal(err)
 	}

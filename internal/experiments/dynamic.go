@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -16,7 +17,7 @@ import (
 // On homogeneous workloads the detector settles into the right static
 // policy after the first window, so "adaptive" tracks the best static
 // closely; the phased workload is where switching pays.
-func DynamicStudy(scale int) (Figure, error) {
+func DynamicStudy(r *sweep.Runner, scale int) (Figure, error) {
 	sels := AllSelectors()
 	cols := make([]string, 0, len(sels))
 	formats := make([]string, 0, len(sels))
@@ -30,7 +31,7 @@ func DynamicStudy(scale int) (Figure, error) {
 		hits := make([]float64, 0, len(sels))
 		winner, best := "", -1.0
 		for _, sel := range sels {
-			rep, err := RunOne(b, sel, scale, core.DefaultParams())
+			rep, err := runOne(r, b, sel, scale, core.DefaultParams())
 			if err != nil {
 				return Figure{}, err
 			}
@@ -78,13 +79,10 @@ func AdaptiveShowcase(scale, limitBytes, window, dwell int) ([]ParetoPoint, erro
 		return nil, fmt.Errorf("experiments: phased workload not registered")
 	}
 	p := w.Build(scale)
+	r := sweep.NewRunner()
 	var out []ParetoPoint
 	run := func(name string, params core.Params) error {
-		sel, err := NewSelector(name, params)
-		if err != nil {
-			return err
-		}
-		res, err := dynopt.Run(p, dynopt.Config{Selector: sel, CacheLimitBytes: limitBytes})
+		res, err := simulate(r, p, name, params, dynopt.Config{CacheLimitBytes: limitBytes})
 		if err != nil {
 			return err
 		}

@@ -14,8 +14,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
+	"repro/internal/program"
 	"repro/internal/sweep"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -80,27 +80,34 @@ func (r *Results) Lookup(bench, sel string) (metrics.Report, bool) {
 
 // RunOne simulates a single (workload, selector) pair.
 func RunOne(bench, sel string, scale int, params core.Params) (metrics.Report, error) {
-	return runOne(bench, sel, scale, params, nil)
+	return runOne(sweep.NewRunner(), bench, sel, scale, params)
 }
 
-// runOne simulates one (workload, selector) pair, optionally on a reusable
-// scratch so back-to-back runs share one interpreter memory image, metrics
-// collector, and report analyzer.
-func runOne(bench, sel string, scale int, params core.Params, scratch *dynopt.Scratch) (metrics.Report, error) {
+// runOne simulates one (workload, selector) pair through r (simulate).
+func runOne(r *sweep.Runner, bench, sel string, scale int, params core.Params) (metrics.Report, error) {
 	w, ok := workloads.Get(bench)
 	if !ok {
 		return metrics.Report{}, fmt.Errorf("experiments: unknown workload %q", bench)
 	}
-	s, err := NewSelector(sel, params)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	res, err := dynopt.Run(w.Build(scale), dynopt.Config{Selector: s, VM: vm.Config{}, Scratch: scratch})
+	res, err := simulate(r, w.Build(scale), sel, params, dynopt.Config{})
 	if err != nil {
 		return metrics.Report{}, fmt.Errorf("experiments: %s under %s: %w", bench, sel, err)
 	}
 	res.Report.Workload = bench
 	return res.Report, nil
+}
+
+// simulate runs p under a fresh sel selector built with params, and cfg's
+// other fields, through r's record-or-replay step (sweep.Runner.Simulate):
+// the first run of each program records it, and every later run of the
+// same program replays the recording. Each figure owns one Runner.
+func simulate(r *sweep.Runner, p *program.Program, sel string, params core.Params, cfg dynopt.Config) (dynopt.Result, error) {
+	s, err := NewSelector(sel, params)
+	if err != nil {
+		return dynopt.Result{}, err
+	}
+	cfg.Selector = s
+	return r.Simulate(p, cfg)
 }
 
 // RunAll simulates every SPEC-named benchmark under every selector — the

@@ -5,7 +5,7 @@ import (
 	"repro/internal/dynopt"
 	"repro/internal/icache"
 	"repro/internal/stats"
-	"repro/internal/vm"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -13,23 +13,18 @@ import (
 // layout for every selector: the §1 claim that separation hurts
 // "instruction cache performance as control jumps between distant traces"
 // measured directly as i-cache misses per thousand cached instructions.
-func ICacheStudy(scale int) (Figure, error) {
+func ICacheStudy(r *sweep.Runner, scale int) (Figure, error) {
 	cfg := icache.Config{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}
 	t := stats.NewTable("", []string{"misses/1k-instr", "miss-rate%", "accesses"},
 		"%15.2f", "%10.2f", "%10.0f")
 	for _, sel := range AllSelectors() {
 		var misses, accesses, cachedInstrs float64
 		for _, b := range workloads.SpecNames() {
-			prog := workloads.MustGet(b).Build(scale)
-			s, err := NewSelector(sel, core.DefaultParams())
-			if err != nil {
-				return Figure{}, err
-			}
 			ic, err := icache.New(cfg)
 			if err != nil {
 				return Figure{}, err
 			}
-			res, err := dynopt.Run(prog, dynopt.Config{Selector: s, VM: vm.Config{}, ICache: ic})
+			res, err := simulate(r, workloads.MustGet(b).Build(scale), sel, core.DefaultParams(), dynopt.Config{ICache: ic})
 			if err != nil {
 				return Figure{}, err
 			}

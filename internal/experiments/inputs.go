@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/stats"
-	"repro/internal/vm"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -15,21 +15,16 @@ import (
 // multiple inputs; the paper used each benchmark's test input). The
 // conclusions should not depend on the particular input: the LEI/NET and
 // combined/NET ratios must stay on the same side of 1.0 across inputs.
-func InputSensitivity(scale int) (Figure, error) {
+func InputSensitivity(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"LEI/NET-trans", "LEI/NET-cover", "cLEI/NET-trans", "cLEI/NET-cover", "hit%LEI"},
 		"%13.3f", "%13.3f", "%14.3f", "%14.3f", "%8.2f")
 	for input := 0; input < 3; input++ {
 		type agg struct{ trans, cover, hit float64 }
 		sums := map[string]*agg{NET: {}, LEI: {}, LEIComb: {}}
 		for _, b := range workloads.SpecNames() {
-			w := workloads.MustGet(b)
-			prog := w.BuildInput(scale, input)
+			prog := workloads.MustGet(b).BuildInput(scale, input)
 			for sel, a := range sums {
-				s, err := NewSelector(sel, core.DefaultParams())
-				if err != nil {
-					return Figure{}, err
-				}
-				res, err := dynopt.Run(prog, dynopt.Config{Selector: s, VM: vm.Config{}})
+				res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
 				if err != nil {
 					return Figure{}, fmt.Errorf("experiments: input %d, %s under %s: %w", input, b, sel, err)
 				}
@@ -43,7 +38,7 @@ func InputSensitivity(scale int) (Figure, error) {
 			stats.Ratio(sums[LEI].cover, sums[NET].cover),
 			stats.Ratio(sums[LEIComb].trans, sums[NET].trans),
 			stats.Ratio(sums[LEIComb].cover, sums[NET].cover),
-			100*sums[LEI].hit/12)
+			100*sums[LEI].hit/float64(len(workloads.SpecNames())))
 	}
 	return Figure{
 		ID:    "inputs",

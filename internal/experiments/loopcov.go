@@ -5,7 +5,7 @@ import (
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
 	"repro/internal/stats"
-	"repro/internal/vm"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -14,7 +14,7 @@ import (
 // spanned by a cyclic region, per selector. NET can only span loops whose
 // dominant path hits no backward call or return; LEI spans loops by
 // construction; the combined variants inherit their base's behaviour.
-func LoopCoverageStudy(scale int) (Figure, error) {
+func LoopCoverageStudy(r *sweep.Runner, scale int) (Figure, error) {
 	const hotness = 100
 	t := stats.NewTable("", []string{"hot-loops", "spanned", "spanned%", "header-cached%"},
 		"%9.0f", "%8.0f", "%9.1f", "%14.1f")
@@ -22,11 +22,7 @@ func LoopCoverageStudy(scale int) (Figure, error) {
 		var hot, spanned, cached float64
 		for _, b := range workloads.SpecNames() {
 			prog := workloads.MustGet(b).Build(scale)
-			s, err := NewSelector(sel, core.DefaultParams())
-			if err != nil {
-				return Figure{}, err
-			}
-			res, err := dynopt.Run(prog, dynopt.Config{Selector: s, VM: vm.Config{}})
+			res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
 			if err != nil {
 				return Figure{}, err
 			}

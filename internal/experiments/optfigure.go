@@ -5,7 +5,7 @@ import (
 	"repro/internal/dynopt"
 	"repro/internal/optimizer"
 	"repro/internal/stats"
-	"repro/internal/vm"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -17,19 +17,14 @@ import (
 // and unconditional jumps removed by the emitter) and loop-invariant code
 // motion: candidates found in region cycles versus candidates actually
 // hoistable (zero for cyclic traces, which have no preheader).
-func OptimizerStudy(scale int) (Figure, error) {
+func OptimizerStudy(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"regions", "fallthrough%", "jumps-removed", "invariant", "hoistable"},
 		"%8.0f", "%12.1f", "%13.0f", "%9.0f", "%9.0f")
 	for _, sel := range AllSelectors() {
 		var regions, fall, slots, removed, inv, hoist float64
 		for _, b := range workloads.SpecNames() {
-			w := workloads.MustGet(b)
-			prog := w.Build(scale)
-			s, err := NewSelector(sel, core.DefaultParams())
-			if err != nil {
-				return Figure{}, err
-			}
-			res, err := dynopt.Run(prog, dynopt.Config{Selector: s, VM: vm.Config{}})
+			prog := workloads.MustGet(b).Build(scale)
+			res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
 			if err != nil {
 				return Figure{}, err
 			}

@@ -4,7 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/stats"
-	"repro/internal/vm"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -14,35 +14,22 @@ import (
 // Reported per selector: cold vs warm hit rate and the number of
 // interpreted taken branches (the system-overhead proxy: every one of them
 // runs the Figure 5 / NET profiling path).
-func PersistentCache(scale int) (Figure, error) {
+func PersistentCache(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"cold-hit%", "warm-hit%", "cold-interp", "warm-interp", "warm-regions"},
 		"%9.2f", "%9.2f", "%11.0f", "%11.0f", "%12.0f")
+	n := float64(len(workloads.SpecNames()))
 	for _, sel := range AllSelectors() {
 		var coldHit, warmHit, coldInterp, warmInterp, warmRegions float64
-		n := 0.0
 		for _, b := range workloads.SpecNames() {
 			prog := workloads.MustGet(b).Build(scale)
-			s1, err := NewSelector(sel, core.DefaultParams())
+			cold, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
 			if err != nil {
 				return Figure{}, err
 			}
-			cold, err := dynopt.Run(prog, dynopt.Config{Selector: s1, VM: vm.Config{}})
+			warm, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{Preload: cold.Cache.Snapshot()})
 			if err != nil {
 				return Figure{}, err
 			}
-			s2, err := NewSelector(sel, core.DefaultParams())
-			if err != nil {
-				return Figure{}, err
-			}
-			warm, err := dynopt.Run(prog, dynopt.Config{
-				Selector: s2,
-				VM:       vm.Config{},
-				Preload:  cold.Cache.Snapshot(),
-			})
-			if err != nil {
-				return Figure{}, err
-			}
-			n++
 			coldHit += cold.Report.HitRate
 			warmHit += warm.Report.HitRate
 			coldInterp += float64(cold.Report.InterpBranches)

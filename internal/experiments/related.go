@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -14,18 +15,17 @@ import (
 // separation and duplication" — which shows up here as: the alternatives
 // spend more profiling memory without approaching LEI's transition and
 // cover-set numbers.
-func RelatedWork(scale int) (Figure, error) {
+func RelatedWork(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"hit%", "regions", "transitions", "cover90", "counters", "dom%"},
 		"%7.2f", "%8.0f", "%12.0f", "%8.1f", "%9.0f", "%6.1f")
+	n := float64(len(workloads.SpecNames()))
 	for _, sel := range RelatedSelectors() {
 		var hit, regions, transitions, cover, counters, dom float64
-		n := 0.0
 		for _, b := range workloads.SpecNames() {
-			rep, err := RunOne(b, sel, scale, core.DefaultParams())
+			rep, err := runOne(r, b, sel, scale, core.DefaultParams())
 			if err != nil {
 				return Figure{}, err
 			}
-			n++
 			hit += rep.HitRate
 			regions += float64(rep.Regions)
 			transitions += float64(rep.Transitions)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -27,34 +28,37 @@ func ExtraIDs() []string {
 }
 
 // BuildExtra regenerates one sweep or ablation study at the given scale.
+// The study runs on a fresh sweep.Runner, which records each program once
+// and replays it for every other run of the study.
 func BuildExtra(id string, scale int) (Figure, error) {
+	r := sweep.NewRunner()
 	switch id {
 	case "sweep-tprof":
-		return SweepTProf(scale)
+		return SweepTProf(r, scale)
 	case "sweep-buffer":
-		return SweepHistoryCap(scale)
+		return SweepHistoryCap(r, scale)
 	case "sweep-threshold":
-		return SweepThresholds(scale)
+		return SweepThresholds(r, scale)
 	case "ablation":
-		return Ablations(scale)
+		return Ablations(r, scale)
 	case "random-corpus":
-		return RandomCorpus(20, 1)
+		return RandomCorpus(r, 20, 1)
 	case "bounded":
-		return BoundedCache(scale)
+		return BoundedCache(r, scale)
 	case "optimizer":
-		return OptimizerStudy(scale)
+		return OptimizerStudy(r, scale)
 	case "related":
-		return RelatedWork(scale)
+		return RelatedWork(r, scale)
 	case "persistent":
-		return PersistentCache(scale)
+		return PersistentCache(r, scale)
 	case "loops":
-		return LoopCoverageStudy(scale)
+		return LoopCoverageStudy(r, scale)
 	case "icache":
-		return ICacheStudy(scale)
+		return ICacheStudy(r, scale)
 	case "inputs":
-		return InputSensitivity(scale)
+		return InputSensitivity(r, scale)
 	case "dynamic":
-		return DynamicStudy(scale)
+		return DynamicStudy(r, scale)
 	default:
 		return Figure{}, fmt.Errorf("experiments: unknown extra figure %q", id)
 	}
@@ -62,10 +66,10 @@ func BuildExtra(id string, scale int) (Figure, error) {
 
 // runSuite runs every SPEC benchmark under one selector configuration and
 // returns per-benchmark reports keyed by benchmark name.
-func runSuite(sel string, scale int, params core.Params) (map[string]metricsByBench, error) {
+func runSuite(r *sweep.Runner, sel string, scale int, params core.Params) (map[string]metricsByBench, error) {
 	out := map[string]metricsByBench{}
 	for _, b := range workloads.SpecNames() {
-		rep, err := RunOne(b, sel, scale, params)
+		rep, err := runOne(r, b, sel, scale, params)
 		if err != nil {
 			return nil, err
 		}
@@ -106,8 +110,8 @@ func suiteAvg(m map[string]metricsByBench, f func(metricsByBench) float64) float
 
 // SweepTProf reproduces footnote 8: combined LEI with (T_prof, T_min) of
 // (15,5), (10,3), and (5,2), against the plain LEI baseline.
-func SweepTProf(scale int) (Figure, error) {
-	base, err := runSuite(LEI, scale, core.DefaultParams())
+func SweepTProf(r *sweep.Runner, scale int) (Figure, error) {
+	base, err := runSuite(r, LEI, scale, core.DefaultParams())
 	if err != nil {
 		return Figure{}, err
 	}
@@ -116,7 +120,7 @@ func SweepTProf(scale int) (Figure, error) {
 	for _, cfg := range []struct{ tprof, tmin int }{{15, 5}, {10, 3}, {5, 2}} {
 		p := core.DefaultParams()
 		p.TProf, p.TMin = cfg.tprof, cfg.tmin
-		comb, err := runSuite(LEIComb, scale, p)
+		comb, err := runSuite(r, LEIComb, scale, p)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -137,13 +141,13 @@ func SweepTProf(scale int) (Figure, error) {
 
 // SweepHistoryCap varies LEI's history-buffer capacity around the paper's
 // 500.
-func SweepHistoryCap(scale int) (Figure, error) {
+func SweepHistoryCap(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"spanned%", "transitions", "cover90", "hit%"},
 		"%9.1f", "%12.0f", "%8.1f", "%7.2f")
 	for _, cap := range []int{50, 125, 250, 500, 1000} {
 		p := core.DefaultParams()
 		p.HistoryCap = cap
-		m, err := runSuite(LEI, scale, p)
+		m, err := runSuite(r, LEI, scale, p)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -164,7 +168,7 @@ func SweepHistoryCap(scale int) (Figure, error) {
 
 // SweepThresholds varies the selection thresholds around the published
 // values (NET 50, LEI 35).
-func SweepThresholds(scale int) (Figure, error) {
+func SweepThresholds(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"hit%", "expansion", "cover90", "transitions"},
 		"%7.2f", "%9.0f", "%8.1f", "%12.0f")
 	for _, row := range []struct {
@@ -182,7 +186,7 @@ func SweepThresholds(scale int) (Figure, error) {
 		if row.lei > 0 {
 			p.LEIThreshold = row.lei
 		}
-		m, err := runSuite(row.sel, scale, p)
+		m, err := runSuite(r, row.sel, scale, p)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -203,11 +207,11 @@ func SweepThresholds(scale int) (Figure, error) {
 
 // Ablations measures the two design choices DESIGN.md calls out: LEI's
 // exit-grown traces and combination's rejoining paths.
-func Ablations(scale int) (Figure, error) {
+func Ablations(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"hit%", "spanned%", "transitions", "dup%", "expansion", "cover90"},
 		"%7.2f", "%9.1f", "%12.0f", "%7.2f", "%10.0f", "%8.1f")
 	add := func(name, sel string, p core.Params) error {
-		m, err := runSuite(sel, scale, p)
+		m, err := runSuite(r, sel, scale, p)
 		if err != nil {
 			return err
 		}

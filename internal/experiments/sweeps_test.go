@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/icache"
+	"repro/internal/sweep"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -94,18 +95,19 @@ func TestAblationRejoinPaths(t *testing.T) {
 // than the full T_prof=15/T_min=5 configuration, with less observation
 // memory.
 func TestSweepTProfFootnote8(t *testing.T) {
-	baseLEI, err := runSuite(LEI, 0, core.DefaultParams())
+	r := sweep.NewRunner()
+	baseLEI, err := runSuite(r, LEI, 0, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := core.DefaultParams()
 	small := core.DefaultParams()
 	small.TProf, small.TMin = 5, 2
-	combFull, err := runSuite(LEIComb, 0, full)
+	combFull, err := runSuite(r, LEIComb, 0, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combSmall, err := runSuite(LEIComb, 0, small)
+	combSmall, err := runSuite(r, LEIComb, 0, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +158,12 @@ func TestAblationNETBackwardStop(t *testing.T) {
 	base := core.DefaultParams()
 	crossing := core.DefaultParams()
 	crossing.AblateNETBackwardStop = true
-	mb, err := runSuite(NET, 0, base)
+	r := sweep.NewRunner()
+	mb, err := runSuite(r, NET, 0, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := runSuite(NET, 0, crossing)
+	mc, err := runSuite(r, NET, 0, crossing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestAblationNETBackwardStop(t *testing.T) {
 // TestICacheOrdering: the simulated i-cache confirms the locality story —
 // LEI-based selection misses no more than NET per cached instruction.
 func TestICacheOrdering(t *testing.T) {
-	f, err := ICacheStudy(0)
+	f, err := ICacheStudy(sweep.NewRunner(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,18 +167,15 @@ func (p *Program) Digest() uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	byte8 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
 	for _, in := range p.instrs {
-		byte8(uint64(in.Op) | uint64(in.Cond)<<8 | uint64(in.Dst)<<16 |
-			uint64(in.SrcA)<<24 | uint64(in.SrcB)<<32)
-		byte8(uint64(in.Imm))
-		byte8(uint64(in.Target))
+		ops := uint64(in.Op) | uint64(in.Cond)<<8 | uint64(in.Dst)<<16 | uint64(in.SrcA)<<24 | uint64(in.SrcB)<<32
+		for _, v := range [3]uint64{ops, uint64(in.Imm), uint64(in.Target)} {
+			for i := 0; i < 8; i++ {
+				h ^= v & 0xff
+				h *= prime64
+				v >>= 8
+			}
+		}
 	}
 	return h
 }

@@ -1,21 +1,24 @@
 // Record-once/replay-many trace memoization. The block-event stream of a
-// grid cell depends only on its (workload, scale) pair — the selectors
-// observe the stream, they never perturb it — and replaying a recorded
-// stream produces byte-identical reports at a fraction of live
-// interpretation cost. The engine folds that in through the Runner's one
-// corpus store (tracestream.Store): the first job touching a cell runs live
+// run depends only on the program — the selectors observe the stream, they
+// never perturb it — and replaying a recorded stream produces
+// byte-identical reports at a fraction of live interpretation cost. The
+// Runner folds that in through its one corpus store (tracestream.Store),
+// keyed by program content: the first run of a program records it live
 // with a tracestream.MemRecorder tapped off the VM (dynopt.Config.Tap), and
-// every later job for the cell replays the recorded arena through
-// Shard.Replay. A trace:<path> file is the same object read from disk, and
-// takes the same path with a decode in place of the recording. Memoization
-// changes how jobs execute, never what they report
+// every later run of it replays the recorded arena (Corpus.Replay). Grid
+// cells and Runner.Simulate callers (the experiments harness) take that
+// one step (simulate). A trace:<path> file is the same object read from
+// disk, and takes the same store with a decode in place of the recording.
+// Memoization changes how jobs execute, never what they report
 // (TestSweepMemoMatchesOff pins the jsonl byte-identity).
 package sweep
 
 import (
 	"fmt"
 
+	"repro/internal/dynopt"
 	"repro/internal/metrics"
+	"repro/internal/program"
 	"repro/internal/tracestream"
 )
 
@@ -25,8 +28,8 @@ import (
 type MemoMode int
 
 const (
-	// MemoOn records each (workload, scale) cell's event stream on first
-	// touch and replays it for every subsequent job of the cell.
+	// MemoOn records each program's event stream on first touch and
+	// replays it for every subsequent job that runs the same program.
 	MemoOn MemoMode = iota
 	// MemoOff runs every registered-workload job live — the escape hatch
 	// (cmd/sweep -memo=off) and the differential baseline. Trace files
@@ -60,65 +63,87 @@ const DefaultMemoBudgetBytes = 256 << 20
 // cmd/sweep -v and sweepd print.
 type MemoStats = tracestream.StoreStats
 
-// dispatch is the engine's one job path: replay the job's corpus when the
-// store holds it, otherwise hand over to Miss. Under MemoOff a cell skips
-// the store and runs live. The hit path — a store lookup and a shard
-// replay — is the steady state of a memoized grid and performs zero heap
-// allocations (TestShardMemoAllocFree).
+// dispatch is the engine's one job path. A trace file replays when the
+// store holds its corpus and otherwise goes to Miss; a cell takes the
+// record-or-replay step (simulate); under MemoOff a cell runs live. The hit
+// paths — a store lookup and a replay — are the steady state of a memoized
+// grid and perform zero heap allocations (TestShardMemoAllocFree).
 //
 //lint:hotpath memoized replay dispatch (TestShardMemoAllocFree)
 func (e *engine) dispatch(shard *Shard, run runnable, job Job) (metrics.Report, error) {
-	if e.memo || run.path != "" {
+	switch {
+	case run.path != "":
 		if c := e.store.Get(run.key); c != nil {
 			return shard.Replay(c, job)
 		}
 		return e.Miss(shard, run, job)
+	case e.memo:
+		cfg, err := shard.config(job)
+		if err != nil {
+			return metrics.Report{}, err
+		}
+		return job.report(simulate(e.store, run.key, run.prog, cfg))
 	}
 	return shard.Run(run.prog, job)
 }
 
-// Miss runs a job whose corpus is not resident. The shard that claims the
-// key fills the store (fill); every other shard — and every job of a key
-// whose corpus the budget rejected — takes the fallback without blocking:
-// a cell runs live, a trace file streams from disk at constant memory. The
-// report is identical either way, so first-touch races cost only the
-// replay opportunity, never correctness. The method is exported within the
-// package's hot-path discipline: filling allocates (the recorded arena, the
-// decoded corpus), so it must stay outside the inferred hot set — only
-// dispatch's hit path above is hot.
+// Miss runs a trace-file job whose corpus is not resident: the shard that
+// claims the key decodes and admits the file, every other one streams it
+// from disk without blocking. It is exported within the package's hot-path
+// discipline: decoding allocates, so it stays outside the inferred hot set.
 func (e *engine) Miss(shard *Shard, run runnable, job Job) (metrics.Report, error) {
 	c, claimed := e.store.Claim(run.key)
 	switch {
 	case c != nil:
 		return shard.Replay(c, job)
-	case claimed:
-		return e.fill(shard, run, job)
-	case run.path != "":
+	case !claimed:
 		return shard.stream(run, job)
 	}
-	return shard.Run(run.prog, job)
-}
-
-// fill builds the corpus of a claimed key — decoding a trace file, or
-// recording a cell live with a MemRecorder tapped off the VM — admits it,
-// and serves the job from it. A corpus the budget rejects still serves this
-// job; the key's later jobs fall back.
-func (e *engine) fill(shard *Shard, run runnable, job Job) (metrics.Report, error) {
-	if run.path != "" {
-		c, err := tracestream.DecodeFile(run.path, run.key, run.prog)
-		if err != nil {
-			e.store.Abandon(run.key)
-			return metrics.Report{}, err
-		}
-		e.store.Admit(run.key, c)
-		return shard.Replay(c, job)
-	}
-	rec := tracestream.NewMemRecorder(run.prog, job.Workload, job.Scale)
-	res, err := shard.run(run.prog, nil, nil, job, rec)
+	c, err := tracestream.DecodeFile(run.path, run.key, run.prog)
 	if err != nil {
 		e.store.Abandon(run.key)
 		return metrics.Report{}, err
 	}
-	e.store.Admit(run.key, &rec.Corpus(res.VMStats).Corpus)
-	return res.Report, nil
+	e.store.Admit(run.key, c)
+	return shard.Replay(c, job)
+}
+
+// Simulate runs p under cfg through the engine's own cell step (simulate)
+// and returns the full result, Cache and Collector included: the first run
+// of a program records it, and every later run of the same program, under
+// any selector, cache bound, preload or i-cache, replays the recording.
+// cfg must leave VM and Tap unset: the recording assumes the VM's default
+// bounds, and a replay feeds no tap.
+func (r *Runner) Simulate(p *program.Program, cfg dynopt.Config) (dynopt.Result, error) {
+	return simulate(r.ensureStore(0), tracestream.Key{Digest: p.Digest()}, p, cfg)
+}
+
+// simulate is the one record-or-replay step: replay k's corpus when it is
+// resident; when the caller claims k, run p live with a MemRecorder tapped
+// off the VM and admit the recording; otherwise (another caller holds the
+// claim, or the budget rejected the corpus) run p live without blocking.
+// The result is identical on every branch, so a first-touch race costs only
+// the replay opportunity, never correctness.
+//
+//lint:hotpath memoized replay (TestShardMemoAllocFree)
+func simulate(store *tracestream.Store, k tracestream.Key, p *program.Program, cfg dynopt.Config) (dynopt.Result, error) {
+	if c := store.Get(k); c != nil {
+		return c.Replay(cfg)
+	}
+	c, claimed := store.Claim(k)
+	switch {
+	case c != nil:
+		return c.Replay(cfg)
+	case !claimed:
+		return dynopt.Run(p, cfg)
+	}
+	rec := tracestream.NewMemRecorder(p, "", 0)
+	cfg.Tap = rec
+	res, err := dynopt.Run(p, cfg)
+	if err != nil {
+		store.Abandon(k)
+		return dynopt.Result{}, err
+	}
+	store.Admit(k, &rec.Corpus(res.VMStats).Corpus)
+	return res, nil
 }

@@ -336,3 +336,21 @@ func TestParseMemoMode(t *testing.T) {
 		t.Error("ParseMemoMode(maybe) accepted")
 	}
 }
+
+// TestMemoKeysByProgramContent pins the memo key: cells are keyed by the
+// content of the program they run, not by the (workload, scale) that built
+// it. gzip at scale 0 and at its explicit default scale build
+// byte-identical programs, so the second grid replays the first grid's
+// recording instead of recording again.
+func TestMemoKeysByProgramContent(t *testing.T) {
+	r := NewRunner()
+	for _, scale := range []int{0, workloads.MustGet("gzip").DefaultScale} {
+		g := Grid{Workloads: []string{"gzip"}, Scale: scale, Selectors: []string{NET, LEI}}
+		if err := r.RunGrid(context.Background(), g, Options{Shards: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.MemoStats(); st.Misses != 1 || st.Hits != 3 {
+		t.Errorf("stats = %+v, want 1 miss (one recording) and 3 replays", st)
+	}
+}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/tracestream"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -120,9 +119,9 @@ type Options struct {
 	// grid size.
 	Window int
 	// Memo switches record-once/replay-many trace memoization (memo.go).
-	// The zero value is MemoOn: the first job touching a (workload, scale)
-	// cell runs live with a recorder tapped off the VM, every later job of
-	// the cell replays the recorded stream. Reports are byte-identical
+	// The zero value is MemoOn: the first job running a program runs live
+	// with a recorder tapped off the VM, every later job of the same
+	// program replays the recorded stream. Reports are byte-identical
 	// either way; only the execution strategy changes.
 	Memo MemoMode
 	// MemoBudgetBytes bounds the Runner's resident corpora — memo
@@ -173,56 +172,43 @@ func (s *Shard) selector(name string, params core.Params) (core.Selector, error)
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Run(p *program.Program, job Job) (metrics.Report, error) {
-	res, err := s.run(p, nil, nil, job, nil)
-	return res.Report, err
+	cfg, err := s.config(job)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	return job.report(dynopt.Run(p, cfg))
 }
 
-// Replay executes one job against a decoded trace corpus instead of a live
-// program: the recorded block events drive the selectors directly
-// (dynopt.RunEdges), so the VM never runs, and the run borrows the corpus's
-// edge table instead of recounting it (a corpus without one counts into the
-// shard's scratch). The corpus is read-only during the run and may be
-// shared across shards.
+// Replay executes one job against a trace corpus instead of a live program
+// (Corpus.Replay), so the VM never runs. The corpus is read-only during the
+// run and may be shared across shards.
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Replay(c *tracestream.Corpus, job Job) (metrics.Report, error) {
-	res, err := s.run(nil, c, nil, job, nil)
-	return res.Report, err
+	cfg, err := s.config(job)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	return job.report(c.Replay(cfg))
 }
 
-// run is the shard's one job path: it acquires the job's pooled selector,
-// replays c when it is set, streams p's recorded events from rd when that
-// is set, and otherwise runs p live with a copy of the VM's block-event
-// stream fanned out to tap (nil taps nothing), and stamps the job's
-// workload on the report. The recording caller (the memo layer,
-// memo.go) taps the live run and reads the run totals from the result's
-// VMStats; the tap only observes, so the report is identical either way.
-func (s *Shard) run(p *program.Program, c *tracestream.Corpus, rd *tracestream.Reader, job Job, tap vm.BlockSink) (dynopt.Result, error) {
+// config is the job's run configuration on the shard's pooled selector and
+// scratch.
+func (s *Shard) config(job Job) (dynopt.Config, error) {
 	sel, err := s.selector(job.Selector, job.Params)
 	if err != nil {
-		return dynopt.Result{}, err
+		return dynopt.Config{}, err
 	}
-	cfg := dynopt.Config{
-		Selector:        sel,
-		CacheLimitBytes: job.CacheLimitBytes,
-		Scratch:         &s.scratch,
-		Tap:             tap,
-	}
-	var res dynopt.Result
-	switch {
-	case c != nil:
-		h := c.Stream.Header
-		res, err = dynopt.RunEdges(c.Prog, cfg, c.Stream.Events, c.Edges(), h.FinalPC, h.Instrs)
-	case rd != nil:
-		res, err = dynopt.RunStream(p, cfg, rd.Feed)
-	default:
-		res, err = dynopt.Run(p, cfg)
-	}
+	return dynopt.Config{Selector: sel, CacheLimitBytes: job.CacheLimitBytes, Scratch: &s.scratch}, nil
+}
+
+// report stamps the job's workload on a run's report.
+func (job Job) report(res dynopt.Result, err error) (metrics.Report, error) {
 	if err != nil {
-		return dynopt.Result{}, err
+		return metrics.Report{}, err
 	}
 	res.Report.Workload = job.Workload
-	return res, nil
+	return res.Report, nil
 }
 
 // stream executes one trace-file job straight from disk: the shard's
@@ -242,8 +228,11 @@ func (s *Shard) stream(run runnable, job Job) (metrics.Report, error) {
 	if err := h.CheckProgram(run.prog); err != nil {
 		return metrics.Report{}, fmt.Errorf("%w (file %s)", err, run.path)
 	}
-	res, err := s.run(run.prog, nil, &s.reader, job, nil)
-	return res.Report, err
+	cfg, err := s.config(job)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	return job.report(dynopt.RunStream(run.prog, cfg, s.reader.Feed))
 }
 
 // runnable is a resolved job input: the built (or, for a trace reference,
@@ -294,7 +283,8 @@ func (pc *progCache) get(name string, scale int) (runnable, error) {
 		if !ok {
 			return runnable{}, fmt.Errorf("sweep: unknown workload %q", name)
 		}
-		r = runnable{prog: w.Build(scale), key: tracestream.Key{Workload: name, Scale: scale}}
+		p := w.Build(scale)
+		r = runnable{prog: p, key: tracestream.Key{Digest: p.Digest()}}
 	}
 	if pc.m == nil {
 		pc.m = make(map[progKey]runnable)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"unsafe"
 
+	"repro/internal/dynopt"
 	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/vm"
@@ -57,6 +58,16 @@ func (c *Corpus) Header() Header { return c.Stream.Header }
 // without NewCorpus. The table is shared by every replay of the corpus,
 // concurrent ones included, and must only be read.
 func (c *Corpus) Edges() *metrics.Edges { return c.edges }
+
+// Replay runs cfg over the recorded events instead of the VM, borrowing the
+// corpus's edge table (dynopt.RunEdges); the result equals the live run the
+// corpus recorded. The corpus is read-only, so replays may run concurrently.
+//
+//lint:hotpath corpus replay (sweep.TestShardMemoAllocFree)
+func (c *Corpus) Replay(cfg dynopt.Config) (dynopt.Result, error) {
+	h := &c.Stream.Header
+	return dynopt.RunEdges(c.Prog, cfg, c.Stream.Events, c.edges, h.FinalPC, h.Instrs)
+}
 
 // eventBytes is the resident footprint of one arena slot.
 const eventBytes = int64(unsafe.Sizeof(vm.BlockEvent{}))

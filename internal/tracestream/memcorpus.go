@@ -11,8 +11,7 @@ import (
 // dynopt's Config.Tap exactly like Recorder; Corpus then seals the arena
 // into a replay-ready MemCorpus whose events feed dynopt.RunEvents as-is.
 // The sweep engine's memoization layer (internal/sweep) records each
-// (workload, scale) cell once this way and replays it for every other grid
-// cell that shares the stream.
+// program once this way and replays it for every other run of the program.
 type MemRecorder struct {
 	//lint:keep identifies the program being recorded; the arena starts a fresh take
 	h      Header

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dynopt"
+	"repro/internal/icache"
+	"repro/internal/metrics"
 	"repro/internal/sweep"
 	"repro/internal/tracestream"
 	"repro/internal/vm"
@@ -205,5 +207,91 @@ func TestShardReplayAllocFree(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestReplayMatchesLiveFigureConfigs extends the differential to the Config
+// fields only the extension figures set, which replay through the memo
+// store like every other run: an i-cache over the code-cache layout, a
+// preloaded snapshot of a cold run, a 512-byte bounded cache, and loop
+// coverage analyzed over the replay's borrowed edge table. For each, a
+// Corpus.Replay of one MemRecorder recording must equal the live run
+// (vortex overflows 512 bytes and has a hot natural loop).
+func TestReplayMatchesLiveFigureConfigs(t *testing.T) {
+	const scale = 300
+	prog := workloads.MustGet("vortex").Build(scale)
+	rec := tracestream.NewMemRecorder(prog, "vortex", scale)
+	st, err := vm.Run(prog, vm.Config{}, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &rec.Corpus(st).Corpus
+	// The bounded case is vacuous unless some selector's code overflows.
+	flushes := 0
+	for _, selName := range diffSelectors {
+		t.Run(selName, func(t *testing.T) {
+			// both runs cfg live and replayed, each under a fresh selector
+			// and with the fields mk sets.
+			both := func(mk func() dynopt.Config) (live, replay dynopt.Result) {
+				t.Helper()
+				for _, res := range []*dynopt.Result{&live, &replay} {
+					cfg := mk()
+					sel, err := sweep.NewSelector(selName, core.DefaultParams())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Selector = sel
+					if res == &live {
+						*res, err = dynopt.Run(prog, cfg)
+					} else {
+						*res, err = c.Replay(cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got, want := reportJSON(t, replay.Report), reportJSON(t, live.Report); !bytes.Equal(got, want) {
+					t.Fatalf("replayed report diverges:\nreplay %s\nlive   %s", got, want)
+				}
+				return live, replay
+			}
+
+			var ics []*icache.Cache
+			both(func() dynopt.Config {
+				ic, err := icache.New(icache.Config{SizeBytes: 1 << 10, LineBytes: 32, Ways: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ics = append(ics, ic)
+				return dynopt.Config{ICache: ic}
+			})
+			if live, replay := ics[0], ics[1]; live.Misses() == 0 ||
+				replay.Misses() != live.Misses() || replay.Accesses() != live.Accesses() {
+				t.Errorf("i-cache: replay %d misses / %d accesses, live %d / %d",
+					replay.Misses(), replay.Accesses(), live.Misses(), live.Accesses())
+			}
+
+			cold, coldReplay := both(func() dynopt.Config { return dynopt.Config{} })
+			lc := metrics.AnalyzeLoopCoverage(prog, cold.Cache, cold.Collector, 100)
+			rc := metrics.AnalyzeLoopCoverage(prog, coldReplay.Cache, coldReplay.Collector, 100)
+			if lc.HotLoops == 0 || rc != lc {
+				t.Errorf("loop coverage: replay %+v, live %+v", rc, lc)
+			}
+			snap := cold.Cache.Snapshot()
+			warm, _ := both(func() dynopt.Config { return dynopt.Config{Preload: snap} })
+			if warm.Report.InterpBranches >= cold.Report.InterpBranches {
+				t.Errorf("preloaded run interpreted %d branches, cold %d: the snapshot did not warm it",
+					warm.Report.InterpBranches, cold.Report.InterpBranches)
+			}
+
+			live, replay := both(func() dynopt.Config { return dynopt.Config{CacheLimitBytes: 512} })
+			flushes += live.Cache.Flushes()
+			if replay.Cache.Flushes() != live.Cache.Flushes() {
+				t.Errorf("bounded cache: replay flushed %d times, live %d", replay.Cache.Flushes(), live.Cache.Flushes())
+			}
+		})
+	}
+	if flushes == 0 {
+		t.Error("no selector flushed the 512-byte cache")
 	}
 }

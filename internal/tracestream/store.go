@@ -7,15 +7,13 @@ import (
 
 // Key identifies a corpus by content. A trace file is keyed by the digest
 // of its bytes, so a rewritten file is never served stale and the same
-// recording at two paths decodes once. A memo cell is keyed by the
-// (workload, scale) pair that produced it: the block-event stream depends
-// only on that pair — the selectors observe it, never perturb it — so one
-// recording serves every selector and parameter point of the cell.
+// recording at two paths decodes once. A memo recording is keyed by the
+// digest of the program that produced it (program.Digest): the block-event
+// stream depends only on the program (under the VM's default bounds) — the
+// selectors observe it, never perturb it — so one recording serves every
+// selector and parameter point of every run of that program, whatever
+// workload, scale, input or seed built it.
 type Key struct {
-	// Workload and Scale name a memo cell; both are zero for a file.
-	Workload string
-	Scale    int
-	// Digest is a trace file's content digest; zero for a cell.
 	Digest uint64
 }
 

@@ -123,7 +123,7 @@ func TestStoreByteBoundLRU(t *testing.T) {
 	if c <= 0 || c > f {
 		t.Fatalf("cell corpus is %d bytes, want in (0, %d]", c, f)
 	}
-	cell := func(i int) tracestream.Key { return tracestream.Key{Workload: "cell", Scale: i} }
+	cell := func(i int) tracestream.Key { return tracestream.Key{Digest: uint64(100 + i)} }
 
 	s := tracestream.NewStore(f + c)
 	mustLoad(t, s, ref)
@@ -178,7 +178,7 @@ func TestMemBudgetLRUEviction(t *testing.T) {
 	}
 
 	k := func(i int) tracestream.Key {
-		return tracestream.Key{Workload: string(rune('a' + i)), Scale: i}
+		return tracestream.Key{Digest: uint64(1 + i)}
 	}
 	for i := 0; i < 3; i++ {
 		admit(t, s, k(i), corpusOf(t, 10))
@@ -241,9 +241,9 @@ func TestMemBudgetLRUEviction(t *testing.T) {
 func TestStoreRejectsOversizedCorpus(t *testing.T) {
 	unit := corpusOf(t, 10).SizeBytes()
 	s := tracestream.NewStore(3 * unit)
-	admit(t, s, tracestream.Key{Workload: "a"}, corpusOf(t, 10))
-	admit(t, s, tracestream.Key{Workload: "b"}, corpusOf(t, 10))
-	big := tracestream.Key{Workload: "big"}
+	admit(t, s, tracestream.Key{Digest: 1}, corpusOf(t, 10))
+	admit(t, s, tracestream.Key{Digest: 2}, corpusOf(t, 10))
+	big := tracestream.Key{Digest: 3}
 	if s.Get(big) != nil {
 		t.Fatal("unfilled key resident")
 	}
@@ -282,7 +282,7 @@ func TestStoreRejectsOversizedCorpus(t *testing.T) {
 // every miss is still one fill or one fallback.
 func TestStoreClaimFindsResident(t *testing.T) {
 	s := tracestream.NewStore(1 << 20)
-	k := tracestream.Key{Workload: "gzip", Scale: 60}
+	k := tracestream.Key{Digest: 60}
 	if s.Get(k) != nil { // A misses
 		t.Fatal("empty store hit")
 	}
@@ -302,7 +302,7 @@ func TestStoreClaimFindsResident(t *testing.T) {
 // without blocking, and abandoning the claim frees the key.
 func TestStoreClaimLosersFallBack(t *testing.T) {
 	s := tracestream.NewStore(1 << 20)
-	k := tracestream.Key{Workload: "gzip", Scale: 60}
+	k := tracestream.Key{Digest: 60}
 	s.Get(k)
 	if _, claimed := s.Claim(k); !claimed {
 		t.Fatal("free key not claimed")

@@ -2,7 +2,9 @@
 // BENCH_pipeline.json-style document: benchmarks present in the new output
 // replace their previous runs, benchmarks absent from it keep the runs
 // already recorded, so re-running a subset never clobbers the rest of the
-// file. Used by scripts/bench.sh.
+// file. Each run is stamped with the machine it ran on — the input's
+// `cpu:` header line and the GOMAXPROCS suffix of the benchmark name — so a
+// recorded number always carries its conditions. Used by scripts/bench.sh.
 //
 //	go test -bench ... -benchmem . | go run ./scripts/benchmerge -out BENCH_pipeline.json
 package main
@@ -13,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"strconv"
 	"strings"
 )
@@ -36,9 +37,9 @@ type run struct {
 	NsPerInstr    *float64 `json:"ns_per_instr"`
 	BytesPerInstr *float64 `json:"bytes_per_instr"`
 	JobsPerSec    *float64 `json:"jobs_per_s,omitempty"`
+	CPU           string   `json:"cpu,omitempty"`
+	GOMAXPROCS    int      `json:"gomaxprocs,omitempty"`
 }
-
-var gomaxprocsSuffix = regexp.MustCompile(`-[0-9]+$`)
 
 func main() {
 	out := flag.String("out", "BENCH_pipeline.json", "JSON file to merge results into")
@@ -58,12 +59,18 @@ func main() {
 
 	// Benchmarks seen in this input replace their prior runs wholesale.
 	replaced := map[string]bool{}
+	cpu := ""
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
+		if c, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			cpu = c
+			continue
+		}
 		name, r, ok := parseLine(sc.Text())
 		if !ok {
 			continue
 		}
+		r.CPU = cpu
 		if !replaced[name] {
 			replaced[name] = true
 			d.Benchmarks[name] = &entry{}
@@ -87,9 +94,10 @@ func main() {
 	}
 }
 
-// parseLine decodes one `go test -bench` result line: the benchmark name
-// (with the trailing -GOMAXPROCS stripped), the iteration count, and then
-// value/unit pairs.
+// parseLine decodes one `go test -bench` result line: the benchmark name,
+// whose trailing -GOMAXPROCS it strips into the run (go test omits the
+// suffix when GOMAXPROCS is 1), the iteration count, and then value/unit
+// pairs.
 func parseLine(line string) (string, run, bool) {
 	f := strings.Fields(line)
 	if len(f) < 2 || !strings.HasPrefix(f[0], "Benchmark") {
@@ -99,7 +107,13 @@ func parseLine(line string) (string, run, bool) {
 	if err != nil {
 		return "", run{}, false
 	}
-	r := run{Iters: iters}
+	name, procs := f[0], 1
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
+		}
+	}
+	r := run{Iters: iters, GOMAXPROCS: procs}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
@@ -120,7 +134,7 @@ func parseLine(line string) (string, run, bool) {
 			r.JobsPerSec = &v
 		}
 	}
-	return gomaxprocsSuffix.ReplaceAllString(f[0], ""), r, true
+	return name, r, true
 }
 
 func fail(err error) {

@@ -1,0 +1,46 @@
+package main
+
+import "testing"
+
+func TestParseLine(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	for _, c := range []struct {
+		line  string
+		name  string
+		procs int
+		want  run
+	}{
+		{"BenchmarkSweepMemo/memo=on-2   \t 12\t 95000000 ns/op\t 2400 jobs/s\t 1024 B/op\t 9 allocs/op",
+			"BenchmarkSweepMemo/memo=on", 2,
+			run{Iters: 12, NsPerOp: f(95e6), JobsPerSec: f(2400), BytesPerOp: f(1024), AllocsPerOp: f(9)}},
+		{"BenchmarkPipeline \t 3\t 400000000 ns/op\t 8.10 ns/instr\t 0.50 B/instr",
+			"BenchmarkPipeline", 1,
+			run{Iters: 3, NsPerOp: f(4e8), NsPerInstr: f(8.1), BytesPerInstr: f(0.5)}},
+	} {
+		name, got, ok := parseLine(c.line)
+		if !ok || name != c.name || got.GOMAXPROCS != c.procs || got.Iters != c.want.Iters {
+			t.Errorf("parseLine(%q) = %q, %+v, %v; want %q with GOMAXPROCS %d", c.line, name, got, ok, c.name, c.procs)
+			continue
+		}
+		for _, m := range []struct {
+			unit      string
+			got, want *float64
+		}{
+			{"ns/op", got.NsPerOp, c.want.NsPerOp},
+			{"B/op", got.BytesPerOp, c.want.BytesPerOp},
+			{"allocs/op", got.AllocsPerOp, c.want.AllocsPerOp},
+			{"ns/instr", got.NsPerInstr, c.want.NsPerInstr},
+			{"B/instr", got.BytesPerInstr, c.want.BytesPerInstr},
+			{"jobs/s", got.JobsPerSec, c.want.JobsPerSec},
+		} {
+			if (m.got == nil) != (m.want == nil) || m.got != nil && *m.got != *m.want {
+				t.Errorf("parseLine(%q) %s = %v, want %v", c.line, m.unit, m.got, m.want)
+			}
+		}
+	}
+	for _, line := range []string{"", "goos: linux", "cpu: Intel(R) Xeon(R)", "BenchmarkX", "BenchmarkX abc 1 ns/op", "BenchmarkX 10 fast ns/op", "PASS"} {
+		if _, _, ok := parseLine(line); ok {
+			t.Errorf("parseLine(%q) accepted a non-result line", line)
+		}
+	}
+}
