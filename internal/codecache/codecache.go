@@ -151,9 +151,8 @@ func (r *Region) Contains(addr isa.Addr) bool { return r.BlockIndex(addr) >= 0 }
 // Advance models execution leaving block cur for original address next.
 // It returns the next in-region block index when control stays inside the
 // region, with cycled set when the transfer is a taken branch back to the
-// region entry.
-//
-//lint:hotpath per-cached-block region walk
+// region entry. It is the written definition of one region step; the
+// simulator's region walk inlines it.
 func (r *Region) Advance(cur int, next isa.Addr, taken bool) (nextIdx int, stay, cycled bool) {
 	switch r.Kind {
 	case KindTrace:
@@ -406,6 +405,9 @@ func (c *Cache) Insert(spec Spec) (*Region, error) {
 }
 
 func (c *Cache) validate(spec Spec) error {
+	if spec.Kind > KindMultipath {
+		return fmt.Errorf("codecache: unknown region kind %d", spec.Kind)
+	}
 	if len(spec.Blocks) == 0 {
 		return fmt.Errorf("codecache: empty region")
 	}

@@ -2,6 +2,7 @@ package codecache
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -175,6 +176,8 @@ func TestInsertValidation(t *testing.T) {
 		Blocks: []BlockSpec{blockSpec(p, 0)}, Succs: nil}, "adjacency")
 	mustErr("bad successor", Spec{Entry: 0, Kind: KindMultipath,
 		Blocks: []BlockSpec{blockSpec(p, 0)}, Succs: [][]int{{3}}}, "out-of-range")
+	mustErr("unknown kind", Spec{Entry: 0, Kind: KindMultipath + 1,
+		Blocks: []BlockSpec{blockSpec(p, 0)}, Succs: [][]int{{0}}}, "unknown region kind")
 
 	if _, err := c.Insert(Spec{Entry: 0, Kind: KindTrace, Blocks: []BlockSpec{blockSpec(p, 0)}}); err != nil {
 		t.Fatal(err)
@@ -323,6 +326,41 @@ func TestMultipathAdvanceMatchesIndex(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPooledMultipathInsertAllocFree pins the recycling of multipath
+// adjacency: re-inserting a multipath region into a reset cache reuses the
+// recycled region and its successor lists, with no allocation.
+func TestPooledMultipathInsertAllocFree(t *testing.T) {
+	p := ladderProgram(t, 8)
+	spec := Spec{
+		Entry:  0,
+		Kind:   KindMultipath,
+		Blocks: []BlockSpec{blockSpec(p, 0), blockSpec(p, 2), blockSpec(p, 4)},
+		Succs:  [][]int{{1, 2}, {2}, {0}},
+	}
+	c := New(p)
+	r, err := c.Insert(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	succs := &r.Succs[0][0]
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Reset(p, 0)
+		if _, err := c.Insert(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled multipath insert allocated %.1f times, want 0", allocs)
+	}
+	got := c.Regions()[0]
+	if got != r || &got.Succs[0][0] != succs {
+		t.Fatal("re-insertion did not recycle the region and its successor lists")
+	}
+	if !reflect.DeepEqual(got.Succs, spec.Succs) {
+		t.Errorf("recycled Succs = %v, want %v", got.Succs, spec.Succs)
 	}
 }
 

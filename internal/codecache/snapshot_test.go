@@ -92,6 +92,26 @@ func TestRestoreRejectsMismatchedProgram(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUnknownKind feeds a snapshot file whose region kind is
+// neither a trace nor a multipath region: restoring it must fail cleanly
+// rather than install a region the simulator cannot step.
+func TestRestoreRejectsUnknownKind(t *testing.T) {
+	p := testProgram(t)
+	snaps, err := ReadSnapshot(strings.NewReader(
+		`[{"entry": 0, "kind": 2, "blocks": [{"Start": 0, "Len": 2}], "cyclic": false}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(p)
+	err = c.Restore(snaps)
+	if err == nil || !strings.Contains(err.Error(), "unknown region kind 2") {
+		t.Errorf("err = %v, want unknown region kind", err)
+	}
+	if c.HasEntry(0) {
+		t.Error("region of unknown kind was installed")
+	}
+}
+
 func TestReadSnapshotBadJSON(t *testing.T) {
 	if _, err := ReadSnapshot(strings.NewReader("{not json")); err == nil {
 		t.Error("bad JSON accepted")

@@ -10,9 +10,11 @@
 // and reference selectors make identical trace and region decisions, report
 // identical counter high-waters, hit rates, and code-expansion statistics,
 // over every named workload, over a large corpus of seeded random programs,
-// and (via the fuzz targets) over arbitrary branch streams.
+// and (via the fuzz targets) over arbitrary branch streams. It also keeps
+// the event-at-a-time simulator (RefSimulator) as the oracle for dynopt's
+// region-resident walk.
 //
-// Nothing outside this package's tests imports it.
+// Nothing but tests imports it.
 package difftest
 
 import (

@@ -180,35 +180,31 @@ func (s *Simulator) Fail(err error) { s.errs = append(s.errs, err) }
 // final instruction is the event's Src. Fall-through boundaries arrive
 // pre-resolved, so the block length is a single subtraction. The batch's
 // edges are counted in one fold before the walk; a run replaying against a
-// borrowed edge table skips even that.
+// borrowed edge table skips even that. Interpreted blocks take transfer one
+// event at a time; once control is inside the code cache, walk consumes
+// events until the next real cache exit or the end of the batch.
 //
 //lint:hotpath batched block-event consumption
 func (s *Simulator) BlockBatch(events []vm.BlockEvent) {
 	s.col.CountEdges(s.pos, events)
-	for i := range events {
+	for i := 0; i < len(events); {
+		if s.region != nil {
+			i = s.walk(events, i)
+			continue
+		}
 		ev := &events[i]
 		s.transfer(ev.Src, ev.Tgt, ev.Taken, ev.Kind)
 		s.pos = ev.Tgt
+		i++
 	}
 }
 
-// transfer handles one control transfer out of the current block. src is
+// transfer handles one control transfer out of an interpreted block. src is
 // always the final instruction of the block led by s.pos (the block-event
 // protocol guarantees it), so the block length is a subtraction, not a
 // block-table lookup.
 func (s *Simulator) transfer(src, tgt isa.Addr, taken bool, kind vm.BranchKind) {
-	blockLen := int(src-s.pos) + 1
-	inCache := s.region != nil
-	s.col.Block(blockLen, inCache)
-	if inCache {
-		s.region.ExecInstrs += uint64(blockLen)
-		if s.ic != nil {
-			s.ic.Fetch(s.region.CacheAddr+s.region.BlockByteOffset(s.blockIdx),
-				s.region.BlockBytes(s.blockIdx))
-		}
-		s.advanceRegion(src, tgt, taken)
-		return
-	}
+	s.col.Block(int(src-s.pos)+1, false)
 	if taken {
 		s.col.InterpBranches++
 	}
@@ -230,37 +226,98 @@ func (s *Simulator) transfer(src, tgt isa.Addr, taken bool, kind vm.BranchKind) 
 	}
 }
 
-// advanceRegion moves execution within the current region or handles its
-// exit: a linked jump to another region (a region transition) or a return
-// to the interpreter. src is the original address of the last instruction
-// of the region block the transfer left from.
-func (s *Simulator) advanceRegion(src, tgt isa.Addr, taken bool) {
-	nextIdx, stay, cycled := s.region.Advance(s.blockIdx, tgt, taken)
-	if stay {
-		if cycled {
-			s.region.CycleTraversals++
-			s.region.Traversals++
+// walk executes cached code: starting at events[i], with control inside
+// s.region, it consumes events until control returns to the interpreter,
+// and returns the index past the exit event (len(events) when the batch
+// ends first). Each event completes the region block at the current index
+// and steps it the way codecache.Region.Advance defines — the next chain
+// block or a taken branch to the entry for a trace, any member block for a
+// multipath region (its listed successors first, the block index as
+// fallback). A step that leaves the region and lands on another region's
+// entry is a linked transition and keeps the walk going; only a target
+// with no cached entry is a real exit, which the selector hears about.
+//
+// The current region's instruction and cycle counts live in locals and are
+// written back when control leaves the region, and at the end of the batch,
+// since a live run's batches end mid-region.
+//
+//lint:hotpath region-resident walk through cached code
+func (s *Simulator) walk(events []vm.BlockEvent, i int) int {
+	r, idx, pos := s.region, s.blockIdx, s.pos
+	ic := s.ic
+	var instrs, cycles uint64
+	for ; i < len(events); i++ {
+		ev := &events[i]
+		instrs += uint64(ev.Src-pos) + 1
+		if ic != nil {
+			ic.Fetch(r.CacheAddr+r.BlockByteOffset(idx), r.BlockBytes(idx))
 		}
-		s.blockIdx = nextIdx
-		return
-	}
-	s.region.Traversals++
-	if r2, ok := s.cache.Lookup(tgt); ok {
-		s.col.Transition(s.region.CacheAddr, r2.CacheAddr)
+		tgt := ev.Tgt
+		pos = tgt
+		if r.Kind == codecache.KindTrace {
+			if idx+1 < len(r.Blocks) && r.Blocks[idx+1].Start == tgt {
+				idx++
+				continue
+			}
+			// A taken branch to the head cycles, whether it is the
+			// trace-ending branch or a side exit linked back to the head.
+			if ev.Taken && tgt == r.Entry {
+				idx = 0
+				cycles++
+				continue
+			}
+		} else {
+			next := -1
+			for _, sx := range r.Succs[idx] {
+				if r.Blocks[sx].Start == tgt {
+					next = sx
+					break
+				}
+			}
+			if next < 0 {
+				next = r.BlockIndex(tgt)
+			}
+			if next >= 0 {
+				if ev.Taken && tgt == r.Entry {
+					cycles++
+				}
+				idx = next
+				continue
+			}
+		}
+		// Control leaves r: one more traversal ends here.
+		s.settle(r, instrs, cycles+1, cycles)
+		instrs, cycles = 0, 0
+		if r2, ok := s.cache.Lookup(tgt); ok {
+			s.col.Transition(r.CacheAddr, r2.CacheAddr)
+			if s.tracer != nil {
+				s.tracer.Transition(r, r2)
+			}
+			r, idx = r2, 0
+			r2.Entries++
+			continue
+		}
 		if s.tracer != nil {
-			s.tracer.Transition(s.region, r2)
+			s.tracer.Exit(r, tgt)
 		}
-		s.region = r2
-		s.blockIdx = 0
-		r2.Entries++
-		return
+		s.region, s.pos = nil, tgt
+		s.col.CacheExits++
+		s.sel.CacheExit(s, ev.Src, tgt)
+		return i + 1
 	}
-	if s.tracer != nil {
-		s.tracer.Exit(s.region, tgt)
-	}
-	s.region = nil
-	s.col.CacheExits++
-	s.sel.CacheExit(s, src, tgt)
+	s.settle(r, instrs, cycles, cycles)
+	s.region, s.blockIdx, s.pos = r, idx, pos
+	return i
+}
+
+// settle writes instrs cached instructions, traversals and cycles back to
+// region r and the collector.
+func (s *Simulator) settle(r *codecache.Region, instrs, traversals, cycles uint64) {
+	r.ExecInstrs += instrs
+	r.Traversals += traversals
+	r.CycleTraversals += cycles
+	s.col.TotalInstrs += instrs
+	s.col.CacheInstrs += instrs
 }
 
 // enter moves execution from the interpreter into region r.

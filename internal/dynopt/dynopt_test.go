@@ -410,40 +410,6 @@ func TestAccountingInvariantsOverRandomPrograms(t *testing.T) {
 	}
 }
 
-// eventTracer records the lifecycle callbacks.
-type eventTracer struct {
-	enters, transitions, exits, selected int
-}
-
-func (e *eventTracer) Enter(*codecache.Region)           { e.enters++ }
-func (e *eventTracer) Transition(_, _ *codecache.Region) { e.transitions++ }
-func (e *eventTracer) Exit(*codecache.Region, isa.Addr)  { e.exits++ }
-func (e *eventTracer) Selected(*codecache.Region)        { e.selected++ }
-
-func TestTracerSeesLifecycle(t *testing.T) {
-	prog := workloads.MustGet("gzip").Build(100)
-	tr := &eventTracer{}
-	res, err := Run(prog, Config{
-		Selector: core.NewNET(core.DefaultParams()),
-		Tracer:   tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(tr.enters) != res.Report.CacheEnters {
-		t.Errorf("tracer enters %d != %d", tr.enters, res.Report.CacheEnters)
-	}
-	if uint64(tr.transitions) != res.Report.Transitions {
-		t.Errorf("tracer transitions %d != %d", tr.transitions, res.Report.Transitions)
-	}
-	if uint64(tr.exits) != res.Report.CacheExits {
-		t.Errorf("tracer exits %d != %d", tr.exits, res.Report.CacheExits)
-	}
-	if tr.selected != res.Report.Regions {
-		t.Errorf("tracer selections %d != %d", tr.selected, res.Report.Regions)
-	}
-}
-
 // TestSelectedCodeWasExecuted: the paper's selectors are purely dynamic —
 // every block they promote to the cache was actually executed. (The
 // profile-driven related-work selectors share the property: their walks
