@@ -53,7 +53,6 @@ import (
 func main() {
 	gridSpec := flag.String("grid", "", "grid spec: 'key=v1,v2;key=v' (see -list for keys; empty = paper 12×4 grid)")
 	shards := flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
-	window := flag.Int("window", 0, "reorder-window size in jobs (0 = 4×shards)")
 	sinkName := flag.String("sink", "table", "output format: table, csv, jsonl, or none")
 	remote := flag.String("remote", "", "comma-separated sweepd worker addresses; empty = run in-process")
 	memo := flag.String("memo", "on", "record-once/replay-many trace memoization (on|off); output is byte-identical either way")
@@ -90,10 +89,10 @@ func main() {
 		for i, a := range addrs {
 			addrs[i] = strings.TrimSpace(a)
 		}
-		err = sweepnet.RunGrid(ctx, addrs, grid, sweepnet.Options{Window: *window}, sink)
+		err = sweepnet.RunGrid(ctx, addrs, grid, sweepnet.Options{}, sink)
 	} else {
 		runner := sweep.NewRunner()
-		err = runner.RunGrid(ctx, grid, sweep.Options{Shards: *shards, Window: *window, Memo: memoMode}, sink)
+		err = runner.RunGrid(ctx, grid, sweep.Options{Shards: *shards, Memo: memoMode}, sink)
 		if *verbose {
 			fmt.Fprintln(os.Stderr, "sweep: memo", runner.MemoStats())
 		}
@@ -218,8 +217,9 @@ func expandConfigs(axes map[string][]int) []sweep.Config {
 // quoting, so workload or selector names containing separators, quotes, or
 // newlines survive a round trip (TestCSVSinkQuoting).
 var csvHeader = []string{"workload", "selector", "cachelimit", "netthreshold",
-	"leithreshold", "historycap", "tprof", "instrs", "hitrate",
-	"regions", "expansion", "stubs", "transitions", "cover90", "counters"}
+	"leithreshold", "historycap", "tprof", "phasewindow", "phasedwell",
+	"instrs", "hitrate", "regions", "expansion", "stubs", "transitions",
+	"cover90", "counters"}
 
 func csvRow(r sweep.Result) []string {
 	return []string{
@@ -229,6 +229,8 @@ func csvRow(r sweep.Result) []string {
 		strconv.Itoa(r.Job.Params.LEIThreshold),
 		strconv.Itoa(r.Job.Params.HistoryCap),
 		strconv.Itoa(r.Job.Params.TProf),
+		strconv.Itoa(r.Job.Params.PhaseWindow),
+		strconv.Itoa(r.Job.Params.PhaseDwell),
 		strconv.FormatUint(r.Report.TotalInstrs, 10),
 		strconv.FormatFloat(r.Report.HitRate, 'f', 4, 64),
 		strconv.Itoa(r.Report.Regions),

@@ -67,6 +67,34 @@ func TestCSVRowMatchesHeader(t *testing.T) {
 	}
 }
 
+// TestCSVNamesEveryGridAxis requires a csv column for every parameter key of
+// gridKeys, holding the value the grid set: without one, two rows that
+// differ only on that axis read the same in every config column.
+func TestCSVNamesEveryGridAxis(t *testing.T) {
+	for _, k := range gridKeys {
+		switch k.key {
+		case "workloads", "selectors", "scale":
+			continue // not parameter axes
+		}
+		col := slices.Index(csvHeader, k.key)
+		if col < 0 {
+			t.Errorf("grid key %q has no csv column", k.key)
+			continue
+		}
+		g, err := parseGrid("workloads=gzip;selectors=net;" + k.key + "=12345")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := g.Jobs()
+		if len(jobs) != 1 {
+			t.Fatalf("%s: grid has %d jobs, want 1", k.key, len(jobs))
+		}
+		if got := csvRow(sweep.Result{Job: jobs[0]})[col]; got != "12345" {
+			t.Errorf("csv column %q reads %q, want the grid's 12345", k.key, got)
+		}
+	}
+}
+
 // TestParseGridRejectsUnknownKey guards the -grid error path.
 func TestParseGridRejectsUnknownKey(t *testing.T) {
 	if _, err := parseGrid("bogus=1"); err == nil {

@@ -28,7 +28,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":7543", "TCP listen address (host:port; port 0 picks a free port)")
 	shards := flag.Int("shards", 0, "engine shards per range (0 = GOMAXPROCS)")
-	window := flag.Int("window", 0, "local reorder-window size in jobs (0 = engine default)")
 	memo := flag.String("memo", "on", "record-once/replay-many trace memoization (on|off); output is byte-identical either way")
 	memoBudget := flag.Int64("memobudget", 0, "resident corpus budget in bytes, memo recordings and decoded trace files alike (0 = engine default)")
 	flag.Parse()
@@ -52,7 +51,6 @@ func main() {
 	runner := sweep.NewRunner()
 	err = sweepnet.Serve(ctx, ln, sweepnet.ServerOptions{
 		Shards:          *shards,
-		Window:          *window,
 		Memo:            mode,
 		MemoBudgetBytes: *memoBudget,
 		Runner:          runner,

@@ -122,10 +122,12 @@ func TestDiffHistoryBuffer(t *testing.T) {
 }
 
 // TestDiffPooledScratch runs every (SPEC workload, selector) pair twice —
-// once with fresh per-run state and once on a shared dynopt.Scratch that is
-// reused across all pairs, as the experiment harness does — and requires
-// identical reports. This pins the pooled simulator, collector, interpreter,
-// and analyzer reuse paths to the one-shot behavior.
+// once on a fresh dynopt.Scratch (a nil Config.Scratch) and once on a shared
+// Scratch that is reused across all pairs, as the experiment harness does —
+// and requires identical reports. Every run executes on a Scratch, so this
+// pins what reuse adds: state the simulator, collector, interpreter, code
+// cache or analyzer carries from one run into the next. RefSimulator
+// (TestDiffRegionWalk) is the independent oracle for the run itself.
 func TestDiffPooledScratch(t *testing.T) {
 	params := core.DefaultParams()
 	selectors := []func() core.Selector{

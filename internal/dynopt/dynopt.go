@@ -51,15 +51,17 @@ type Config struct {
 	// produced the run's report, with no second interpretation. Only Run
 	// consults it; the stream-driven entry points have the stream already.
 	Tap vm.BlockSink
-	// Scratch, when set, pools every reusable piece of per-run state —
-	// interpreter, simulator, metrics collector, code cache, and report
-	// analyzer — across back-to-back runs.
+	// Scratch holds the run's state — interpreter, simulator, metrics
+	// collector, code cache, and report analyzer. Setting the same Scratch
+	// on back-to-back runs pools that state across them; nil runs on a
+	// fresh Scratch of its own.
 	Scratch *Scratch
 }
 
-// Scratch holds the pooled per-run state for callers running many
-// simulations back to back (one Scratch per harness worker). The zero value
-// is ready to use. While a Scratch is set, the Result's Cache and Collector
+// Scratch holds the state of a simulation run; every run executes on one.
+// Callers running many simulations back to back reuse one Scratch (one per
+// harness worker); a run whose Config leaves it nil gets a fresh Scratch of
+// its own. The zero value is ready to use. The Result's Cache and Collector
 // and the report's intermediate tables live in the Scratch and are
 // invalidated by the next run that uses it; the Result's Report is a plain
 // value, detached from all scratch state, and stays valid indefinitely.
@@ -104,6 +106,8 @@ type Result struct {
 // vm.BlockSink (to consume the dynamic block stream) and core.Env (to
 // service the selector).
 type Simulator struct {
+	scratch *Scratch // the Scratch this Simulator lives in
+
 	prog  *program.Program
 	cache *codecache.Cache
 	sel   core.Selector
@@ -117,44 +121,34 @@ type Simulator struct {
 	errs     []error
 }
 
-// NewSimulator prepares a run of p under cfg. Dense per-address state — the
-// collector's edge table and any core.Preallocator tables of the selector —
-// is sized to the program's address space up front (program length plus one,
-// covering the VM's one-past-the-end predecode sentinel), so the simulation
-// hot path never grows a table.
+// NewSimulator prepares a run of p under cfg on cfg.Scratch, or on a fresh
+// Scratch when that is nil. Dense per-address state — the collector's edge
+// table and any core.Preallocator tables of the selector — is sized to the
+// program's address space up front (program length plus one, covering the
+// VM's one-past-the-end predecode sentinel), so the simulation hot path
+// never grows a table.
 func NewSimulator(p *program.Program, cfg Config) *Simulator {
-	var sim *Simulator
-	var col *metrics.Collector
-	var cache *codecache.Cache
-	if cfg.Scratch != nil {
-		sim = &cfg.Scratch.sim
-		col = &cfg.Scratch.col
-		col.Reset()
-		cache = &cfg.Scratch.cache
-		cache.Reset(p, cfg.CacheLimitBytes)
-	} else {
-		sim = &Simulator{}
-		col = metrics.NewCollector()
-		if cfg.CacheLimitBytes > 0 {
-			cache = codecache.NewBounded(p, cfg.CacheLimitBytes)
-		} else {
-			cache = codecache.New(p)
-		}
+	sc := cfg.Scratch
+	if sc == nil {
+		sc = new(Scratch)
 	}
+	sc.col.Reset()
+	sc.cache.Reset(p, cfg.CacheLimitBytes)
 	addrSpace := p.Len() + 1
-	col.EnsureCap(addrSpace)
+	sc.col.EnsureCap(addrSpace)
 	if pre, ok := cfg.Selector.(core.Preallocator); ok {
 		pre.Preallocate(addrSpace)
 	}
-	*sim = Simulator{
-		prog:   p,
-		cache:  cache,
-		sel:    cfg.Selector,
-		col:    col,
-		ic:     cfg.ICache,
-		tracer: cfg.Tracer,
+	sc.sim = Simulator{
+		scratch: sc,
+		prog:    p,
+		cache:   &sc.cache,
+		sel:     cfg.Selector,
+		col:     &sc.col,
+		ic:      cfg.ICache,
+		tracer:  cfg.Tracer,
 	}
-	return sim
+	return &sc.sim
 }
 
 // Program implements core.Env.
@@ -381,15 +375,9 @@ func endRun(sim *Simulator, cfg Config, st vm.Stats) (Result, error) {
 	}, nil
 }
 
-// analyzeRun produces the run's report, through the pooled analyzer when a
-// Scratch is configured.
+// analyzeRun produces the run's report through its Scratch's analyzer.
 func analyzeRun(sim *Simulator, cfg Config) metrics.Report {
-	var report metrics.Report
-	if cfg.Scratch != nil {
-		report = cfg.Scratch.analyzer.Analyze(sim.cache, sim.col, cfg.Selector.Stats())
-	} else {
-		report = metrics.Analyze(sim.cache, sim.col, cfg.Selector.Stats())
-	}
+	report := sim.scratch.analyzer.Analyze(sim.cache, sim.col, cfg.Selector.Stats())
 	report.Selector = cfg.Selector.Name()
 	return report
 }
@@ -401,13 +389,8 @@ func Run(p *program.Program, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var machine *vm.Machine
-	if cfg.Scratch != nil {
-		machine = &cfg.Scratch.machine
-		machine.Load(p, cfg.VM)
-	} else {
-		machine = vm.New(p, cfg.VM)
-	}
+	machine := &sim.scratch.machine
+	machine.Load(p, cfg.VM)
 	st, err := machine.Run(vm.Tee(sim, cfg.Tap))
 	if err != nil {
 		return Result{}, fmt.Errorf("dynopt: interpreting program: %w", err)

@@ -92,18 +92,21 @@ type metricsByBench struct {
 }
 
 // relAvg averages the per-benchmark ratio of a metric between two suites.
+// Like suiteAvg it sums in workloads.SpecNames order, not map order, so the
+// same suites always give the same float64.
 func relAvg(num, den map[string]metricsByBench, f func(metricsByBench) float64) float64 {
 	var xs []float64
-	for b, n := range num {
-		xs = append(xs, stats.Ratio(f(n), f(den[b])))
+	for _, b := range workloads.SpecNames() {
+		xs = append(xs, stats.Ratio(f(num[b]), f(den[b])))
 	}
 	return stats.Mean(xs)
 }
 
+// suiteAvg averages a metric over a suite's benchmarks.
 func suiteAvg(m map[string]metricsByBench, f func(metricsByBench) float64) float64 {
 	var xs []float64
-	for _, v := range m {
-		xs = append(xs, f(v))
+	for _, b := range workloads.SpecNames() {
+		xs = append(xs, f(m[b]))
 	}
 	return stats.Mean(xs)
 }

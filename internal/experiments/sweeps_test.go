@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -123,6 +124,28 @@ func TestSweepTProfFootnote8(t *testing.T) {
 	obsSmall := suiteAvg(combSmall, func(m metricsByBench) float64 { return m.Observed })
 	if obsSmall >= obsFull {
 		t.Errorf("smaller T_prof did not reduce observation memory: %.0f vs %.0f", obsSmall, obsFull)
+	}
+}
+
+// TestSuiteAveragesBitIdentical requires relAvg and suiteAvg to return the
+// same float64, bit for bit, on every call over the same suites. The values
+// span many magnitudes, so a sum whose order followed map iteration would
+// round differently from call to call.
+func TestSuiteAveragesBitIdentical(t *testing.T) {
+	num := map[string]metricsByBench{}
+	den := map[string]metricsByBench{}
+	for i, b := range workloads.SpecNames() {
+		num[b] = metricsByBench{Transitions: math.Pow(10, float64(i)) / 3}
+		den[b] = metricsByBench{Transitions: float64(1 + i%2)}
+	}
+	transitions := func(m metricsByBench) float64 { return m.Transitions }
+	rel, avg := map[uint64]bool{}, map[uint64]bool{}
+	for range 200 {
+		rel[math.Float64bits(relAvg(num, den, transitions))] = true
+		avg[math.Float64bits(suiteAvg(num, transitions))] = true
+	}
+	if len(rel) != 1 || len(avg) != 1 {
+		t.Errorf("200 calls gave %d distinct relAvg and %d distinct suiteAvg results, want 1 each", len(rel), len(avg))
 	}
 }
 

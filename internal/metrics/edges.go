@@ -87,11 +87,12 @@ func (e *Edges) EdgeCount(from, to isa.Addr) uint64 {
 }
 
 // PredsOf returns the distinct executed predecessor leaders for each block
-// leader.
+// leader. It is how tests read an edge table; analysis builds the same lists
+// in Analyzer.buildPreds.
 //
-//lint:ignore densemap one-shot compatibility API; Analyzer.buildPreds is the dense pooled path
+//lint:ignore densemap test-facing reader; Analyzer.buildPreds is the dense pooled path
 func (e *Edges) PredsOf() map[isa.Addr][]isa.Addr {
-	//lint:ignore densemap one-shot compatibility API; Analyzer.buildPreds is the dense pooled path
+	//lint:ignore densemap test-facing reader; Analyzer.buildPreds is the dense pooled path
 	preds := make(map[isa.Addr][]isa.Addr)
 	for from, cells := range e.cells {
 		for _, cell := range cells {

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/codecache"
@@ -189,9 +188,9 @@ type Report struct {
 
 // Analyzer computes Reports while pooling the per-region scratch tables
 // (predecessor lists, cover-set ordering, domination work lists) across
-// runs. The harness analyzes every (workload, selector) pair with the same
-// per-worker Analyzer, so steady-state Analyze performs no allocation; the
-// package-level Analyze wrapper remains for one-shot callers.
+// runs. It is the one implementation of every measure a Report carries:
+// each simulation run analyzes its report through the Analyzer of its
+// dynopt.Scratch, so steady-state Analyze performs no allocation.
 type Analyzer struct {
 	// preds is a dense table of distinct executed predecessor leaders per
 	// target leader; predsHot lists the touched targets so clearing between
@@ -203,7 +202,7 @@ type Analyzer struct {
 }
 
 // Analyze computes a Report from a finished run, reusing the analyzer's
-// scratch tables. It is equivalent to the package-level Analyze.
+// scratch tables.
 func (a *Analyzer) Analyze(cache *codecache.Cache, col *Collector, selStats core.ProfileStats) Report {
 	return analyze(a, cache, col, selStats)
 }
@@ -235,10 +234,15 @@ func (a *Analyzer) buildPreds(edges *Edges) {
 	}
 }
 
-// coverSet is CoverSet over the analyzer's pooled ordering buffer.
+// coverSet returns the size of the smallest set of regions whose executed
+// instructions comprise at least frac of total program execution — the
+// paper's trace-quality metric (§2.3). ok is false when even all regions
+// together fall short (the remainder ran interpreted). Ties in executed
+// instructions go to the earlier-selected region; the ordering lives in the
+// analyzer's pooled buffer.
 //
 //lint:hotpath pooled analysis (TestPooledAnalyzeAllocFree)
-func (a *Analyzer) coverSet(regions []*codecache.Region, totalInstrs uint64, frac float64) (int, bool) {
+func (a *Analyzer) coverSet(regions []*codecache.Region, totalInstrs uint64, frac float64) (n int, ok bool) {
 	a.byExec = append(a.byExec[:0], regions...)
 	slices.SortFunc(a.byExec, func(x, y *codecache.Region) int {
 		if x.ExecInstrs != y.ExecInstrs {
@@ -269,8 +273,11 @@ func (a *Analyzer) coverSet(regions []*codecache.Region, totalInstrs uint64, fra
 	return len(a.byExec), false
 }
 
-// exitDomination is AnalyzeExitDomination over the pooled predecessor table,
-// without recording the dominator pairs.
+// exitDomination counts the exit-dominated regions and the instructions
+// they duplicate from their dominators (§4.1). Region R exit-dominates
+// region S when (1) S begins at an exit from R, (2) the exit block is the
+// only executed predecessor of S's entrance not contained in S, and (3) R
+// was selected before S. It reads the predecessor table buildPreds filled.
 //
 //lint:hotpath pooled analysis (TestPooledAnalyzeAllocFree)
 func (a *Analyzer) exitDomination(regions []*codecache.Region) (dominated, dupInstrs int) {
@@ -296,7 +303,7 @@ func (a *Analyzer) exitDomination(regions []*codecache.Region) (dominated, dupIn
 	return dominated, dupInstrs
 }
 
-// Analyze computes a Report from a finished run.
+// Analyze computes a Report from a finished run on a fresh Analyzer.
 func Analyze(cache *codecache.Cache, col *Collector, selStats core.ProfileStats) Report {
 	var a Analyzer
 	return analyze(&a, cache, col, selStats)
@@ -356,75 +363,6 @@ func analyze(a *Analyzer, cache *codecache.Cache, col *Collector, selStats core.
 		r.AvgTransitionBytes = float64(col.TransitionBytes) / float64(col.Transitions)
 	}
 	return r
-}
-
-// CoverSet returns the size of the smallest set of regions whose executed
-// instructions comprise at least frac of total program execution — the
-// paper's trace-quality metric (§2.3). ok is false when even all regions
-// together fall short (the remainder ran interpreted).
-func CoverSet(regions []*codecache.Region, totalInstrs uint64, frac float64) (int, bool) {
-	byExec := append([]*codecache.Region(nil), regions...)
-	sort.Slice(byExec, func(i, j int) bool {
-		if byExec[i].ExecInstrs != byExec[j].ExecInstrs {
-			return byExec[i].ExecInstrs > byExec[j].ExecInstrs
-		}
-		return byExec[i].SelectedSeq < byExec[j].SelectedSeq
-	})
-	need := uint64(frac * float64(totalInstrs))
-	if need == 0 {
-		return 0, true
-	}
-	var sum uint64
-	for i, reg := range byExec {
-		sum += reg.ExecInstrs
-		if sum >= need {
-			return i + 1, true
-		}
-	}
-	return len(byExec), false
-}
-
-// DominationResult summarizes the §4.1 analysis.
-type DominationResult struct {
-	// DominatedRegions is the number of regions that are exit-dominated by
-	// an earlier region.
-	DominatedRegions int
-	// DuplicatedInstrs is the total count of instructions in dominated
-	// regions that also appear in their dominating region (exit-dominated
-	// duplication).
-	DuplicatedInstrs int
-	// Pairs lists (dominating, dominated) region IDs.
-	Pairs [][2]codecache.ID
-}
-
-// AnalyzeExitDomination finds exit-dominated regions. Region R
-// exit-dominates region S when (1) S begins at an exit from R, (2) the exit
-// block is the only executed predecessor of S's entrance not contained in
-// S, and (3) R was selected before S (§4.1).
-func AnalyzeExitDomination(regions []*codecache.Region, col *Collector) DominationResult {
-	var res DominationResult
-	preds := col.Edges().PredsOf()
-	for _, s := range regions {
-		// Executed predecessors of S's entrance outside S.
-		var outside []isa.Addr
-		for _, p := range preds[s.Entry] {
-			if !s.Contains(p) {
-				outside = append(outside, p)
-			}
-		}
-		if len(outside) != 1 {
-			continue
-		}
-		p := outside[0]
-		dominator := findDominator(regions, s, p)
-		if dominator == nil {
-			continue
-		}
-		res.DominatedRegions++
-		res.DuplicatedInstrs += overlapInstrs(dominator, s)
-		res.Pairs = append(res.Pairs, [2]codecache.ID{dominator.ID, s.ID})
-	}
-	return res
 }
 
 // findDominator returns the earliest-selected region R, selected before S,

@@ -135,29 +135,39 @@ func TestCollectorBorrowIsReadOnly(t *testing.T) {
 	}
 }
 
+// TestCoverSet drives the Analyzer's cover-set pass, the one Analyze runs,
+// reusing one Analyzer across cases as a pooled run does.
 func TestCoverSet(t *testing.T) {
 	mk := func(exec uint64, seq uint64) *codecache.Region {
 		r := &codecache.Region{ExecInstrs: exec, SelectedSeq: seq}
 		return r
 	}
 	regions := []*codecache.Region{mk(500, 0), mk(300, 1), mk(150, 2), mk(50, 3)}
+	var a Analyzer
 	// Total execution 1000 (everything cached).
-	if n, ok := CoverSet(regions, 1000, 0.90); !ok || n != 3 {
+	if n, ok := a.coverSet(regions, 1000, 0.90); !ok || n != 3 {
 		t.Errorf("cover90 = %d, %v; want 3, true", n, ok)
 	}
-	if n, ok := CoverSet(regions, 1000, 0.50); !ok || n != 1 {
+	if n, ok := a.coverSet(regions, 1000, 0.50); !ok || n != 1 {
 		t.Errorf("cover50 = %d, %v; want 1, true", n, ok)
 	}
-	if n, ok := CoverSet(regions, 1000, 1.0); !ok || n != 4 {
+	if n, ok := a.coverSet(regions, 1000, 1.0); !ok || n != 4 {
 		t.Errorf("cover100 = %d, %v", n, ok)
 	}
 	// 2000 total: the regions cover only half; not achievable.
-	if n, ok := CoverSet(regions, 2000, 0.90); ok || n != 4 {
+	if n, ok := a.coverSet(regions, 2000, 0.90); ok || n != 4 {
 		t.Errorf("unreachable cover = %d, %v; want 4, false", n, ok)
 	}
-	if n, ok := CoverSet(nil, 0, 0.9); !ok || n != 0 {
+	if n, ok := a.coverSet(nil, 0, 0.9); !ok || n != 0 {
 		t.Errorf("empty cover = %d, %v", n, ok)
 	}
+}
+
+// exitDomination analyzes a finished run through the Analyzer, the path
+// every simulation's report takes, and returns its §4.1 counts.
+func exitDomination(cache *codecache.Cache, col *Collector) (dominated, dupInstrs int) {
+	rep := new(Analyzer).Analyze(cache, col, core.ProfileStats{})
+	return rep.ExitDominated, rep.ExitDomDupInstrs
 }
 
 func TestExitDomination(t *testing.T) {
@@ -165,12 +175,10 @@ func TestExitDomination(t *testing.T) {
 	cache := codecache.New(p)
 	// R: trace A,B (selected first). S: trace D,E beginning at R's exit
 	// (B's jmp to 6).
-	r, err := cache.Insert(spec(p, 0, 2))
-	if err != nil {
+	if _, err := cache.Insert(spec(p, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := cache.Insert(spec(p, 6, 8))
-	if err != nil {
+	if _, err := cache.Insert(spec(p, 6, 8)); err != nil {
 		t.Fatal(err)
 	}
 	col := NewCollector()
@@ -178,16 +186,13 @@ func TestExitDomination(t *testing.T) {
 	countEdge(col, 0, 2)
 	countEdge(col, 2, 6)
 	countEdge(col, 6, 8)
-	res := AnalyzeExitDomination(cache.AllRegions(), col)
-	if res.DominatedRegions != 1 {
-		t.Fatalf("dominated = %d, want 1", res.DominatedRegions)
-	}
-	if len(res.Pairs) != 1 || res.Pairs[0][0] != r.ID || res.Pairs[0][1] != s.ID {
-		t.Errorf("pairs = %v", res.Pairs)
+	dominated, dup := exitDomination(cache, col)
+	if dominated != 1 {
+		t.Fatalf("dominated = %d, want 1", dominated)
 	}
 	// No shared blocks: zero duplication.
-	if res.DuplicatedInstrs != 0 {
-		t.Errorf("dup = %d", res.DuplicatedInstrs)
+	if dup != 0 {
+		t.Errorf("dup = %d", dup)
 	}
 }
 
@@ -203,9 +208,8 @@ func TestExitDominationRequiresSinglePredecessor(t *testing.T) {
 	col := NewCollector()
 	countEdge(col, 2, 6)
 	countEdge(col, 4, 6) // C also reaches D and C is outside both regions
-	res := AnalyzeExitDomination(cache.AllRegions(), col)
-	if res.DominatedRegions != 0 {
-		t.Errorf("dominated = %d, want 0 (two outside predecessors)", res.DominatedRegions)
+	if dominated, _ := exitDomination(cache, col); dominated != 0 {
+		t.Errorf("dominated = %d, want 0 (two outside predecessors)", dominated)
 	}
 }
 
@@ -222,9 +226,8 @@ func TestExitDominationSelectionOrderMatters(t *testing.T) {
 	col := NewCollector()
 	countEdge(col, 0, 2)
 	countEdge(col, 2, 6)
-	res := AnalyzeExitDomination(cache.AllRegions(), col)
-	if res.DominatedRegions != 0 {
-		t.Errorf("dominated = %d, want 0 (wrong selection order)", res.DominatedRegions)
+	if dominated, _ := exitDomination(cache, col); dominated != 0 {
+		t.Errorf("dominated = %d, want 0 (wrong selection order)", dominated)
 	}
 }
 
@@ -256,9 +259,8 @@ func TestExitDominationInternalEdgeNotAnExit(t *testing.T) {
 	}
 	col := NewCollector()
 	countEdge(col, 2, 6)
-	res := AnalyzeExitDomination(cache.AllRegions(), col)
-	if res.DominatedRegions != 0 {
-		t.Errorf("dominated = %d, want 0 (edge is internal to R)", res.DominatedRegions)
+	if dominated, _ := exitDomination(cache, col); dominated != 0 {
+		t.Errorf("dominated = %d, want 0 (edge is internal to R)", dominated)
 	}
 }
 
@@ -276,12 +278,12 @@ func TestExitDominationDuplication(t *testing.T) {
 	col := NewCollector()
 	countEdge(col, 0, 4) // A -> C executed (A's taken branch leaves R)
 	countEdge(col, 4, 6)
-	res := AnalyzeExitDomination(cache.AllRegions(), col)
-	if res.DominatedRegions != 1 {
-		t.Fatalf("dominated = %d, want 1", res.DominatedRegions)
+	dominated, dup := exitDomination(cache, col)
+	if dominated != 1 {
+		t.Fatalf("dominated = %d, want 1", dominated)
 	}
-	if res.DuplicatedInstrs != p.BlockLen(6) {
-		t.Errorf("dup = %d, want %d", res.DuplicatedInstrs, p.BlockLen(6))
+	if dup != p.BlockLen(6) {
+		t.Errorf("dup = %d, want %d", dup, p.BlockLen(6))
 	}
 }
 

@@ -46,7 +46,8 @@ func testGrid() Grid {
 
 // TestSweepOrderedAndIdentical runs the full 12×4 grid sharded and checks
 // that results arrive exactly once each, in grid-enumeration order, and
-// that every pooled-shard report is identical to an unpooled direct run.
+// that every pooled-shard report is identical to a direct run on a fresh
+// Scratch.
 func TestSweepOrderedAndIdentical(t *testing.T) {
 	g := testGrid()
 	jobs := g.Jobs()

@@ -14,10 +14,6 @@ import (
 
 // Options tunes the coordinator.
 type Options struct {
-	// Window bounds the reorder ring merging worker result streams, in
-	// jobs; it is raised to at least one chunk (admission control needs a
-	// whole range to fit). <=0 sizes it from the chunk and worker count.
-	Window int
 	// Chunk is the number of jobs per assigned range. <=0 picks a size
 	// from the grid and worker count.
 	Chunk int
@@ -119,13 +115,9 @@ func RunGrid(ctx context.Context, addrs []string, g sweep.Grid, opts Options, si
 		chunk = njobs / (8 * len(addrs))
 		chunk = max(1, min(chunk, 512))
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = 2 * chunk * len(addrs) * opts.Inflight
-	}
-	// Admission control requires a whole range to fit the window; see
-	// nextRange.
-	window = max(window, chunk)
+	// The reorder window merging worker result streams, in jobs. Admission
+	// control requires a whole range to fit it; see nextRange.
+	window := max(2*chunk*len(addrs)*opts.Inflight, chunk)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

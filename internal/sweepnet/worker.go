@@ -17,9 +17,6 @@ type ServerOptions struct {
 	// Shards is the per-range shard count handed to the local sweep engine.
 	// <=0 means GOMAXPROCS.
 	Shards int
-	// Window is the local engine's reorder window. <=0 takes the engine
-	// default (4 × shards).
-	Window int
 	// Heartbeat is how often the worker proves liveness while a range is
 	// executing. <=0 means 2s; it must stay well under the coordinator's
 	// HeartbeatTimeout.
@@ -243,7 +240,6 @@ func (s *session) executor(sctx context.Context) {
 		stream := &resultStream{s: s}
 		err := s.runner.RunRange(sctx, grid, r.lo, r.hi, sweep.Options{
 			Shards:          s.opts.Shards,
-			Window:          s.opts.Window,
 			Memo:            s.opts.Memo,
 			MemoBudgetBytes: s.opts.MemoBudgetBytes,
 		}, stream)

@@ -1,5 +1,8 @@
 #!/bin/sh
-# Full verification gate: tier-1 checks, the repo-invariant lint suite
+# Full verification gate: tier-1 checks (go test pins every paper figure
+# and every extension figure byte for byte against
+# internal/experiments/testdata/paper.golden.md and extras.golden.md),
+# the repo-invariant lint suite
 # (cmd/lint — per-package and whole-module call-graph analyzers; see
 # docs/LINTING.md), the race detector over the
 # concurrent sweep engine (including the zero-alloc shard guard, whose
