@@ -678,11 +678,13 @@ func BenchmarkSweepMemo(b *testing.B) {
 // the raw stream-decode cost, and "replay" drives the same selection from
 // the pre-decoded recording, built by tracestream.NewCorpus as the engine
 // builds it so the replay borrows its edge table — dispatch, arithmetic,
-// memory simulation and edge counting vanish, so its per-instruction cost
-// must sit several× below live's. Live
-// and replay also report ns/event over the recording's block-event count
-// for direct comparison; the numbers land in BENCH_pipeline.json via
-// scripts/bench.sh and regress through scripts/benchgate.
+// memory simulation and edge counting vanish, and repeated in-cache
+// periods are advanced in one step, so its per-instruction cost must sit
+// several× below live's. Live and replay also report ns/event over the
+// recording's block-event count for direct comparison, and replay the share
+// of events it skipped (skipped/event); the numbers land in
+// BENCH_pipeline.json via scripts/bench.sh and regress through
+// scripts/benchgate.
 func BenchmarkReplay(b *testing.B) {
 	const name = "bzip2"
 	prog := workloads.MustGet(name).Build(benchScale)
@@ -743,6 +745,15 @@ func BenchmarkReplay(b *testing.B) {
 			instrs += rep.TotalInstrs
 		}
 		normalized(b, instrs)
+		// The share of events the replay advanced in bulk (repeated
+		// in-cache periods) is a property of the stream and the job, so
+		// one untimed replay reads it.
+		b.StopTimer()
+		res, err := corpus.Replay(dynopt.Config{Selector: core.NewLEI(job.Params)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Collector.SkippedEvents)/float64(h.Events), "skipped/event")
 	})
 }
 

@@ -148,44 +148,6 @@ func (r *Region) BlockIndex(addr isa.Addr) int {
 // Contains reports whether the region includes the block starting at addr.
 func (r *Region) Contains(addr isa.Addr) bool { return r.BlockIndex(addr) >= 0 }
 
-// Advance models execution leaving block cur for original address next.
-// It returns the next in-region block index when control stays inside the
-// region, with cycled set when the transfer is a taken branch back to the
-// region entry. It is the written definition of one region step; the
-// simulator's region walk inlines it.
-func (r *Region) Advance(cur int, next isa.Addr, taken bool) (nextIdx int, stay, cycled bool) {
-	switch r.Kind {
-	case KindTrace:
-		if cur+1 < len(r.Blocks) && r.Blocks[cur+1].Start == next {
-			return cur + 1, true, false
-		}
-		// A taken branch to the top of the trace keeps execution in the
-		// region, whether it is the trace-ending cycle branch or a side
-		// exit that the system links back to its own head.
-		if taken && next == r.Entry {
-			return 0, true, true
-		}
-		return 0, false, false
-	default: // KindMultipath
-		// Any transfer to a member block stays inside the region: edges
-		// observed during profiling are region-internal, and exits that
-		// target a member block were replaced by direct edges when the
-		// region was formed (paper Figure 13, line 16). The listed
-		// successors — one or two — usually name the target; member blocks
-		// are unique (validate), so the map is only the fallback.
-		for _, s := range r.Succs[cur] {
-			if r.Blocks[s].Start == next {
-				return s, true, taken && next == r.Entry
-			}
-		}
-		idx, ok := r.byStart[next]
-		if !ok {
-			return 0, false, false
-		}
-		return idx, true, taken && next == r.Entry
-	}
-}
-
 // entryCell is one slot of the dense entry table. A cell names a live
 // region only when its epoch matches the cache's current epoch, so Reset
 // invalidates the whole table by bumping the epoch instead of rewriting it.

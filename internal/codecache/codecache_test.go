@@ -1,7 +1,6 @@
 package codecache
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,77 +185,6 @@ func TestInsertValidation(t *testing.T) {
 		Blocks: []BlockSpec{blockSpec(p, 0)}}, "already cached")
 }
 
-func TestTraceAdvance(t *testing.T) {
-	p := testProgram(t)
-	c := New(p)
-	r, err := c.Insert(Spec{
-		Entry:  0,
-		Kind:   KindTrace,
-		Blocks: []BlockSpec{blockSpec(p, 0), blockSpec(p, 4)},
-		Cyclic: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Following the chain.
-	if idx, stay, cyc := r.Advance(0, 4, true); !stay || idx != 1 || cyc {
-		t.Errorf("chain advance = %d,%v,%v", idx, stay, cyc)
-	}
-	// Cycle back to the head.
-	if idx, stay, cyc := r.Advance(1, 0, true); !stay || idx != 0 || !cyc {
-		t.Errorf("cycle advance = %d,%v,%v", idx, stay, cyc)
-	}
-	// Side exit off-trace.
-	if _, stay, _ := r.Advance(0, 2, false); stay {
-		t.Error("off-trace fall-through should exit")
-	}
-	// Fall-through to the head is an exit, not a cycle.
-	if _, stay, _ := r.Advance(1, 0, false); stay {
-		t.Error("fall-through to head should exit (not a taken branch)")
-	}
-	// A taken side exit targeting the head stays (linked back to self).
-	if idx, stay, cyc := r.Advance(0, 0, true); !stay || idx != 0 || !cyc {
-		t.Errorf("taken-to-head = %d,%v,%v", idx, stay, cyc)
-	}
-}
-
-func TestMultipathAdvance(t *testing.T) {
-	p := testProgram(t)
-	c := New(p)
-	r, err := c.Insert(Spec{
-		Entry:  0,
-		Kind:   KindMultipath,
-		Blocks: []BlockSpec{blockSpec(p, 0), blockSpec(p, 2), blockSpec(p, 4)},
-		Succs:  [][]int{{1, 2}, {}, {0}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Cyclic {
-		t.Error("edge to block 0 should make the region cyclic")
-	}
-	if idx, stay, _ := r.Advance(0, 2, false); !stay || idx != 1 {
-		t.Errorf("to member 2: %d,%v", idx, stay)
-	}
-	if idx, stay, cyc := r.Advance(2, 0, true); !stay || idx != 0 || !cyc {
-		t.Errorf("back edge: %d,%v,%v", idx, stay, cyc)
-	}
-	if _, stay, _ := r.Advance(1, 6, true); stay {
-		t.Error("to non-member should exit")
-	}
-	// Block 1 lists no successors, yet a transfer to any member stays: the
-	// listed successors are only the fast path, the member index decides.
-	if idx, stay, cyc := r.Advance(1, 4, false); !stay || idx != 2 || cyc {
-		t.Errorf("to unlisted member 4: %d,%v,%v", idx, stay, cyc)
-	}
-	if idx, stay, cyc := r.Advance(1, 0, true); !stay || idx != 0 || !cyc {
-		t.Errorf("to unlisted entry: %d,%v,%v", idx, stay, cyc)
-	}
-	if idx, stay, cyc := r.Advance(2, 6, false); stay || idx != 0 || cyc {
-		t.Errorf("fall-through exit: %d,%v,%v", idx, stay, cyc)
-	}
-}
-
 // ladderProgram builds n two-instruction blocks, each ending in a
 // conditional branch to another block, then a halt block: every even
 // address below 2n+1 leads a block.
@@ -274,59 +202,6 @@ func ladderProgram(t *testing.T, n int) *program.Program {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestMultipathAdvanceMatchesIndex checks the successor-first multipath walk
-// against a BlockIndex oracle over random multipath regions: for every
-// current block, every member start plus a non-member target, and both
-// branch outcomes, Advance must stay exactly when the target is a member,
-// land on its index, and report a cycle exactly for a taken branch to the
-// entry.
-func TestMultipathAdvanceMatchesIndex(t *testing.T) {
-	const blocks = 24
-	p := ladderProgram(t, blocks)
-	rng := rand.New(rand.NewSource(1))
-	c := New(p)
-	for trial := 0; trial < 200; trial++ {
-		c.Reset(p, 0)
-		order := rng.Perm(blocks + 1)
-		k := 1 + rng.Intn(8)
-		spec := Spec{Kind: KindMultipath, Succs: make([][]int, k)}
-		for _, b := range order[:k] {
-			spec.Blocks = append(spec.Blocks, blockSpec(p, isa.Addr(2*b)))
-		}
-		spec.Entry = spec.Blocks[0].Start
-		for i := range spec.Succs {
-			for n := rng.Intn(4); n > 0; n-- {
-				spec.Succs[i] = append(spec.Succs[i], rng.Intn(k))
-			}
-		}
-		r, err := c.Insert(spec)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		targets := []isa.Addr{isa.Addr(2 * order[k])} // a leader outside the region
-		for _, b := range spec.Blocks {
-			targets = append(targets, b.Start)
-		}
-		for cur := 0; cur < k; cur++ {
-			for _, next := range targets {
-				for _, taken := range []bool{false, true} {
-					want := r.BlockIndex(next)
-					wantStay := want >= 0
-					if !wantStay {
-						want = 0
-					}
-					wantCyc := wantStay && taken && next == r.Entry
-					idx, stay, cyc := r.Advance(cur, next, taken)
-					if idx != want || stay != wantStay || cyc != wantCyc {
-						t.Fatalf("trial %d: Advance(%d, %d, %v) = %d,%v,%v; want %d,%v,%v (spec %+v)",
-							trial, cur, next, taken, idx, stay, cyc, want, wantStay, wantCyc, spec)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestPooledMultipathInsertAllocFree pins the recycling of multipath

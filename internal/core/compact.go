@@ -138,7 +138,7 @@ func (t CompactTrace) DecodeInto(p *program.Program, head isa.Addr, scratch []co
 			// address inside the new segment's range, and appending would
 			// fabricate a duplicate pass over the trace body. Traces never
 			// contain duplicate blocks, so the two cases cannot collide.
-			if lastRecorded(blocks) == last {
+			if len(blocks) > 0 && lastRecorded(blocks) == last {
 				// The final instruction was a taken branch; segStart is the
 				// target it transferred to — the trace's closing transfer.
 				return blocks, segStart, true, nil
@@ -230,7 +230,8 @@ func (a *traceArena) reset() {
 }
 
 // lastRecorded returns the address of the final instruction of the decoded
-// block list, or an impossible address when empty.
+// block list, or the all-ones address when empty — which a corrupt encoding
+// can name as its end, so callers test for an empty list first.
 func lastRecorded(blocks []codecache.BlockSpec) isa.Addr {
 	if len(blocks) == 0 {
 		return ^isa.Addr(0)

@@ -203,7 +203,7 @@ func (e *streamEnv) stepRegion(sel core.Selector, leaders []isa.Addr, tgtByte, c
 		// interpreter.
 		tgt = leaders[int(tgtByte)%len(leaders)]
 	}
-	if nextIdx, stay, _ := r.Advance(e.blockIdx, tgt, taken); stay {
+	if nextIdx, stay, _ := advance(r, e.blockIdx, tgt, taken); stay {
 		e.blockIdx = nextIdx
 		return
 	}

@@ -16,8 +16,8 @@ import (
 
 // RefSimulator is the frozen event-at-a-time simulator: every block event,
 // cached or interpreted, goes through one transfer call, and a cached block
-// steps its region with codecache.Region.Advance and writes the region's
-// and the collector's counters on the spot. It is the oracle for dynopt's
+// steps its region with advance and writes the region's and the
+// collector's counters on the spot. It is the oracle for dynopt's
 // region-resident walk, which keeps those counters in locals and stays in
 // one loop across stays, cycles and linked transitions; every observable —
 // collector, per-region statistics, report, i-cache traffic, tracer
@@ -127,7 +127,7 @@ func (s *RefSimulator) transfer(src, tgt isa.Addr, taken bool, kind vm.BranchKin
 }
 
 func (s *RefSimulator) advanceRegion(src, tgt isa.Addr, taken bool) {
-	nextIdx, stay, cycled := s.region.Advance(s.blockIdx, tgt, taken)
+	nextIdx, stay, cycled := advance(s.region, s.blockIdx, tgt, taken)
 	if stay {
 		if cycled {
 			s.region.CycleTraversals++
@@ -153,6 +153,31 @@ func (s *RefSimulator) advanceRegion(src, tgt isa.Addr, taken bool) {
 	s.region = nil
 	s.col.CacheExits++
 	s.sel.CacheExit(s, src, tgt)
+}
+
+// advance is the frozen definition of one region step: execution leaves
+// block cur of r for original address next. It returns the next block
+// index when control stays inside r, with cycled set when the transfer is a
+// taken branch back to the entry. A trace stays on its next chain block, or
+// on a taken branch to its head — the trace-ending cycle branch or a side
+// exit linked back to the head. A multipath region stays on any member
+// block: exits that target a member were replaced by direct edges when the
+// region was formed (paper Figure 13, line 16).
+func advance(r *codecache.Region, cur int, next isa.Addr, taken bool) (nextIdx int, stay, cycled bool) {
+	if r.Kind == codecache.KindTrace {
+		if cur+1 < len(r.Blocks) && r.Blocks[cur+1].Start == next {
+			return cur + 1, true, false
+		}
+		if taken && next == r.Entry {
+			return 0, true, true
+		}
+		return 0, false, false
+	}
+	idx := r.BlockIndex(next)
+	if idx < 0 {
+		return 0, false, false
+	}
+	return idx, true, taken && next == r.Entry
 }
 
 func (s *RefSimulator) enter(r *codecache.Region) {
@@ -233,23 +258,10 @@ func CompareResults(a, b dynopt.Result) error {
 	if a.VMStats != b.VMStats {
 		return fmt.Errorf("difftest: vm stats divergence: walk=%+v ref=%+v", a.VMStats, b.VMStats)
 	}
-	if err := compareCollectors(a.Collector, b.Collector); err != nil {
-		return err
+	if a.Collector.Counters != b.Collector.Counters {
+		return fmt.Errorf("difftest: collector divergence:\nwalk: %+v\nref:  %+v", a.Collector.Counters, b.Collector.Counters)
 	}
 	return CompareCaches(a.Cache, b.Cache)
-}
-
-func compareCollectors(a, b *metrics.Collector) error {
-	type counters [8]uint64
-	get := func(c *metrics.Collector) counters {
-		return counters{c.TotalInstrs, c.CacheInstrs, c.Transitions, c.PageTransitions,
-			c.TransitionBytes, c.CacheEnters, c.CacheExits, c.InterpBranches}
-	}
-	if ca, cb := get(a), get(b); ca != cb {
-		return fmt.Errorf("difftest: collector divergence (total, cache, transitions, page transitions, "+
-			"transition bytes, enters, exits, interp branches): walk=%v ref=%v", ca, cb)
-	}
-	return nil
 }
 
 // TracerEvent is one simulator lifecycle callback as TraceLog records it.

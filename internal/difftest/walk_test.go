@@ -69,9 +69,10 @@ func walkConfigs(t testing.TB, sel, refSel core.Selector, v walkVariant, snap []
 
 // diffWalk runs p live through the production simulator and the reference
 // under one selector and variant, then replays the live run's recording
-// through both as one whole slice, and requires identical results, i-cache
-// traffic and tracer sequences each time.
-func diffWalk(t testing.TB, p *program.Program, newSel func() core.Selector, v walkVariant) error {
+// through both as one whole slice, without and with its repeat list, and
+// requires identical results, i-cache traffic and tracer sequences each
+// time. It adds the events the repeat-list replay skipped to skipped.
+func diffWalk(t testing.TB, p *program.Program, newSel func() core.Selector, v walkVariant, skipped *uint64) error {
 	t.Helper()
 	var snap []codecache.RegionSnapshot
 	if v == variantPreload {
@@ -120,18 +121,40 @@ func diffWalk(t testing.TB, p *program.Program, newSel func() core.Selector, v w
 	if err := CompareResults(got, want); err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
+	if err := checkIC(); err != nil {
+		return err
+	}
+
+	// Replayed with its repeat list, the recording must match again: the
+	// walk then advances repeated in-cache periods in one step.
+	cfg, refCfg, checkIC = walkConfigs(t, newSel(), newSel(), v, snap)
+	got, err = c.Replay(cfg)
+	if err != nil {
+		return fmt.Errorf("walk replay with repeats: %w", err)
+	}
+	want, err = RefRunEvents(p, refCfg, c.Stream.Events, h.FinalPC, h.Instrs)
+	if err != nil {
+		return fmt.Errorf("reference replay: %w", err)
+	}
+	if err := CompareResults(got, want); err != nil {
+		return fmt.Errorf("replay with repeats: %w", err)
+	}
+	*skipped += got.Collector.SkippedEvents
 	return checkIC()
 }
 
 // TestDiffRegionWalk diffs dynopt's region-resident walk against the frozen
 // event-at-a-time reference over the random-program corpus under all five
-// selectors. Every program runs the plain configuration; the bounded-cache,
-// i-cache and preloaded-cache variants rotate across seeds.
+// selectors, live and replayed with and without the recording's repeat
+// list. Every program runs the plain configuration; the bounded-cache,
+// i-cache and preloaded-cache variants rotate across seeds. The corpus must
+// exercise the skip: some repeat-list replay skips events.
 func TestDiffRegionWalk(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
 		seeds = 120
 	}
+	var skipped uint64
 	for seed := 0; seed < seeds; seed++ {
 		p := workloads.Random(workloads.GenConfig{
 			Seed:       int64(seed),
@@ -144,20 +167,24 @@ func TestDiffRegionWalk(t *testing.T) {
 		extra := walkVariant(1 + seed%int(numWalkVariants-1))
 		for _, newSel := range Selectors(params) {
 			for _, v := range []walkVariant{variantPlain, extra} {
-				if err := diffWalk(t, p, newSel, v); err != nil {
+				if err := diffWalk(t, p, newSel, v, &skipped); err != nil {
 					t.Fatalf("seed %d under %s (%s): %v", seed, newSel().Name(), v, err)
 				}
 			}
 		}
+	}
+	if skipped == 0 {
+		t.Error("no replay skipped a repeated period")
 	}
 }
 
 // fuzzWalkEvents steers a block-event stream through p's static control
 // flow: each data byte picks a conditional branch's direction or an
 // indirect transfer's target, and the data repeats so the stream has the
-// hot loops selectors promote. The stream ends at a halt block, or after
-// maxEvents events.
-func fuzzWalkEvents(p *program.Program, data []byte, maxEvents int) []vm.BlockEvent {
+// hot loops selectors promote. The byte steering event flip is inverted, so
+// one event breaks the pattern at that depth (a negative flip breaks none).
+// The stream ends at a halt block, or after maxEvents events.
+func fuzzWalkEvents(p *program.Program, data []byte, maxEvents, flip int) []vm.BlockEvent {
 	if len(data) == 0 {
 		return nil
 	}
@@ -166,6 +193,9 @@ func fuzzWalkEvents(p *program.Program, data []byte, maxEvents int) []vm.BlockEv
 	pos := p.Entry()
 	for i := 0; i < maxEvents; i++ {
 		b := data[i%len(data)]
+		if i == flip {
+			b = ^b
+		}
 		end := p.BlockEnd(pos)
 		if int(end) >= p.Len() {
 			break
@@ -194,19 +224,26 @@ func fuzzWalkEvents(p *program.Program, data []byte, maxEvents int) []vm.BlockEv
 // FuzzRegionWalk diffs the walk against the reference on arbitrary streams
 // steered through a random program's control flow, under a selector and a
 // variant the input picks, with the stream delivered in batches of an
-// input-picked size so batch ends fall anywhere inside regions.
+// input-picked size so batch ends fall anywhere inside regions, and replayed
+// whole with its repeat list. The last seeds steer periodic streams that
+// break their pattern once, at a depth the seed picks: a repeat ends there,
+// and the replay must skip up to it and no further.
 func FuzzRegionWalk(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(7), []byte{1, 0, 1, 1, 0, 1, 1, 1})
-	f.Add(uint8(1), uint8(6), uint8(1), []byte{3, 1, 1, 5, 2, 1, 3, 4, 0x81})
-	f.Add(uint8(2), uint8(12), uint8(64), []byte{0xff, 0xfe, 0xff, 0x01})
-	f.Add(uint8(5), uint8(19), uint8(2), []byte{2, 9, 1, 4, 9, 1, 2, 9, 1, 4, 9, 1, 2, 9, 1, 4, 9, 1})
-	f.Fuzz(func(t *testing.T, progSeed, variant, chunk uint8, data []byte) {
+	f.Add(uint8(0), uint8(0), uint8(7), uint16(0), []byte{1, 0, 1, 1, 0, 1, 1, 1})
+	f.Add(uint8(1), uint8(6), uint8(1), uint16(0), []byte{3, 1, 1, 5, 2, 1, 3, 4, 0x81})
+	f.Add(uint8(2), uint8(12), uint8(64), uint16(0), []byte{0xff, 0xfe, 0xff, 0x01})
+	f.Add(uint8(5), uint8(19), uint8(2), uint16(0), []byte{2, 9, 1, 4, 9, 1, 2, 9, 1, 4, 9, 1, 2, 9, 1, 4, 9, 1})
+	f.Add(uint8(0), uint8(0), uint8(255), uint16(1+413), []byte{3, 1})
+	f.Add(uint8(2), uint8(1), uint8(255), uint16(1+1771), []byte{1, 0, 1, 1})
+	f.Add(uint8(2), uint8(7), uint8(255), uint16(1+90), []byte{3, 1})
+	f.Add(uint8(3), uint8(18), uint8(255), uint16(1+2950), []byte{3, 1})
+	f.Fuzz(func(t *testing.T, progSeed, variant, chunk uint8, flip uint16, data []byte) {
 		p := fuzzProgram(progSeed)
 		params := RandomParams(int64(progSeed))
 		sels := Selectors(params)
 		newSel := sels[int(variant)%len(sels)]
 		v := walkVariant(int(variant)/len(sels)) % numWalkVariants
-		events := fuzzWalkEvents(p, data, 4096)
+		events := fuzzWalkEvents(p, data, 4096, int(flip)-1)
 		var snap []codecache.RegionSnapshot
 		if v == variantPreload {
 			warm, err := dynopt.RunEvents(p, dynopt.Config{Selector: newSel()}, events, 0, 0)
@@ -239,6 +276,24 @@ func FuzzRegionWalk(f *testing.F) {
 			t.Fatal(err)
 		}
 		if err := log.Diff(refLog); err != nil {
+			t.Fatal(err)
+		}
+
+		// Replayed whole with its repeat list, the stream must match again.
+		c := tracestream.NewCorpus(&tracestream.Stream{Events: events}, p)
+		cfg, refCfg, checkIC = walkConfigs(t, newSel(), newSel(), v, snap)
+		got, gerr = c.Replay(cfg)
+		want, werr = RefRunEvents(p, refCfg, events, 0, 0)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("replay with repeats: error divergence: walk=%v ref=%v", gerr, werr)
+		}
+		if gerr != nil {
+			return
+		}
+		if err := CompareResults(got, want); err != nil {
+			t.Fatalf("%s (%s, replay with %d repeats): %v", newSel().Name(), v, len(c.Repeats()), err)
+		}
+		if err := checkIC(); err != nil {
 			t.Fatal(err)
 		}
 	})

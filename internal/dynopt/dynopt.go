@@ -69,13 +69,14 @@ type Config struct {
 // Every component field must be re-armed on the reuse path — scratchclean
 // machine-checks that (docs/LINTING.md).
 //
-//lint:pooled components re-armed in NewSimulator/Run/analyzeRun
+//lint:pooled components re-armed in NewSimulator/Run/analyzeRun/repeatPeriod
 type Scratch struct {
 	machine  vm.Machine
 	col      metrics.Collector
 	analyzer metrics.Analyzer
 	sim      Simulator
 	cache    codecache.Cache
+	periods  periodLog
 }
 
 // Tracer observes the simulated system's state machine.
@@ -174,14 +175,59 @@ func (s *Simulator) Fail(err error) { s.errs = append(s.errs, err) }
 // final instruction is the event's Src. Fall-through boundaries arrive
 // pre-resolved, so the block length is a single subtraction. The batch's
 // edges are counted in one fold before the walk; a run replaying against a
-// borrowed edge table skips even that. Interpreted blocks take transfer one
-// event at a time; once control is inside the code cache, walk consumes
-// events until the next real cache exit or the end of the batch.
+// borrowed edge table skips even that.
 //
 //lint:hotpath batched block-event consumption
 func (s *Simulator) BlockBatch(events []vm.BlockEvent) {
+	s.feed(events, nil)
+}
+
+// feed counts the edges of events and simulates them. reps is the events'
+// repeat list (tracestream.Corpus carries one): inside each repeat, feed
+// cuts the stream at period boundaries, and at a boundary where control is
+// in the code cache it tries to advance the rest of the repeat in one step
+// (repeatPeriod). Repeats it cannot use — an i-cache or a tracer observes
+// every step, or the list does not fit the events — are walked event by
+// event, as a nil list is.
+//
+//lint:hotpath batched block-event consumption
+func (s *Simulator) feed(events []vm.BlockEvent, reps []Repeat) {
 	s.col.CountEdges(s.pos, events)
-	for i := 0; i < len(events); {
+	if s.ic != nil || s.tracer != nil {
+		reps = nil
+	}
+	i := 0
+	for _, rp := range reps {
+		p := int(rp.Period)
+		end := int(rp.Start) + p*int(rp.Count)
+		if int(rp.Start) < i || p < 1 || p > MaxRepeatPeriod || end > len(events) {
+			continue
+		}
+		// The first period is entered from outside the repeat; every later
+		// boundary is entered from the previous period's last event, so
+		// boundaries share one position from the second on.
+		b := int(rp.Start) + p
+		s.step(events[:b], i)
+		for ; b+2*p <= end; b += p {
+			if s.region == nil {
+				s.step(events[:b+p], b)
+			} else if s.repeatPeriod(events[:b+p], b, uint64((end-b)/p-1)) {
+				b = end
+				break
+			}
+		}
+		i = b
+	}
+	s.step(events, i)
+}
+
+// step simulates events[i:]: interpreted blocks take transfer one event at
+// a time; once control is inside the code cache, walk consumes events until
+// the next real cache exit or the end of the slice.
+//
+//lint:hotpath batched block-event consumption
+func (s *Simulator) step(events []vm.BlockEvent, i int) {
+	for i < len(events) {
 		if s.region != nil {
 			i = s.walk(events, i)
 			continue
@@ -191,6 +237,45 @@ func (s *Simulator) BlockBatch(events []vm.BlockEvent) {
 		s.pos = ev.Tgt
 		i++
 	}
+}
+
+// repeatPeriod walks the period events[b:] from inside the code cache with
+// its growth logged. When control stayed in the cache for the whole period
+// and came back to the region and block it started from, each of the
+// following rest periods — the same events from the same state — walks
+// exactly the same way: the selector never runs inside the cache, so no
+// region is inserted and every Lookup answers as before. repeatPeriod then
+// applies the logged growth rest more times and reports true; the caller
+// skips those periods. Otherwise it finishes the period event by event and
+// reports false.
+//
+// The log marks, before the walk, every region the period can touch: the
+// one it starts in and each region whose entry one of its events targets,
+// since a linked transition lands only on such an entry. Marking a region
+// the walk then misses costs nothing, as its growth is zero; walk itself
+// keeps no log.
+//
+//lint:hotpath periodic-delta replay
+func (s *Simulator) repeatPeriod(events []vm.BlockEvent, b int, rest uint64) bool {
+	r, idx := s.region, s.blockIdx
+	log := &s.scratch.periods
+	log.begin(s.col.Counters, r)
+	for j := b; j < len(events); j++ {
+		if r2, ok := s.cache.Lookup(events[j].Tgt); ok {
+			log.mark(r2)
+		}
+	}
+	i := s.walk(events, b)
+	if i < len(events) {
+		s.step(events, i)
+		return false
+	}
+	if s.region != r || s.blockIdx != idx {
+		return false
+	}
+	log.repeat(&s.col.Counters, rest)
+	s.col.SkippedEvents += rest * uint64(len(events)-b)
+	return true
 }
 
 // transfer handles one control transfer out of an interpreted block. src is
@@ -224,12 +309,12 @@ func (s *Simulator) transfer(src, tgt isa.Addr, taken bool, kind vm.BranchKind) 
 // s.region, it consumes events until control returns to the interpreter,
 // and returns the index past the exit event (len(events) when the batch
 // ends first). Each event completes the region block at the current index
-// and steps it the way codecache.Region.Advance defines — the next chain
-// block or a taken branch to the entry for a trace, any member block for a
-// multipath region (its listed successors first, the block index as
-// fallback). A step that leaves the region and lands on another region's
-// entry is a linked transition and keeps the walk going; only a target
-// with no cached entry is a real exit, which the selector hears about.
+// and steps it — to the next chain block or, on a taken branch to the
+// entry, back to the head for a trace; to any member block for a multipath
+// region (its listed successors first, the block index as fallback). A
+// step that leaves the region and lands on another region's entry is a
+// linked transition and keeps the walk going; only a target with no cached
+// entry is a real exit, which the selector hears about.
 //
 // The current region's instruction and cycle counts live in locals and are
 // written back when control leaves the region, and at the end of the batch,
@@ -401,24 +486,29 @@ func Run(p *program.Program, cfg Config) (Result, error) {
 // RunEvents drives the simulator from a fully decoded block-event stream —
 // the corpus replay path. finalPC and instrs are the recorded run's halt
 // address and instruction count (instrs 0 skips the attribution
-// cross-check). The run counts the stream's edges into its own table;
-// RunEdges replays against a table counted once beforehand.
+// cross-check). The run counts the stream's edges into its own table and
+// walks every event; RunEdges replays against a table counted once
+// beforehand and skips repeated periods.
 //
 //lint:hotpath corpus replay drives the batched event path
 func RunEvents(p *program.Program, cfg Config, events []vm.BlockEvent, finalPC isa.Addr, instrs uint64) (Result, error) {
-	return RunEdges(p, cfg, events, nil, finalPC, instrs)
+	return RunEdges(p, cfg, events, nil, nil, finalPC, instrs)
 }
 
-// RunEdges is RunEvents with the stream's edge table supplied: edges must
-// hold the edge counts of exactly this stream (tracestream.Corpus carries
-// one). The run borrows it read-only instead of counting — edge counts do
-// not depend on the selector, so a replay pays only for what the selector
-// changes — and the result's Collector reports it. A nil edges counts the
-// stream as RunEvents does. Pooled callers (sweep shards replaying a shared
-// corpus) stay allocation-free in steady state.
+// RunEdges is RunEvents with the stream's edge table and repeat list
+// supplied (tracestream.Corpus carries both). edges must hold the edge
+// counts of exactly this stream: the run borrows it read-only instead of
+// counting — edge counts do not depend on the selector, so a replay pays
+// only for what the selector changes — and the result's Collector reports
+// it. A nil edges counts the stream as RunEvents does. reps must list
+// repeats of exactly this stream, sorted and disjoint: the run advances
+// their in-cache periods in bulk (see Simulator.feed) and counts the events
+// it skipped in Collector.SkippedEvents; a nil reps walks every event.
+// Pooled callers (sweep shards replaying a shared corpus) stay
+// allocation-free in steady state.
 //
 //lint:hotpath corpus replay drives the batched event path
-func RunEdges(p *program.Program, cfg Config, events []vm.BlockEvent, edges *metrics.Edges, finalPC isa.Addr, instrs uint64) (Result, error) {
+func RunEdges(p *program.Program, cfg Config, events []vm.BlockEvent, edges *metrics.Edges, reps []Repeat, finalPC isa.Addr, instrs uint64) (Result, error) {
 	sim, err := beginRun(p, cfg)
 	if err != nil {
 		return Result{}, err
@@ -426,7 +516,7 @@ func RunEdges(p *program.Program, cfg Config, events []vm.BlockEvent, edges *met
 	if edges != nil {
 		sim.col.Borrow(edges)
 	}
-	sim.BlockBatch(events)
+	sim.feed(events, reps)
 	return endRun(sim, cfg, vm.Stats{Instrs: instrs, FinalPC: finalPC})
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/dynopt"
 	"repro/internal/isa"
+	"repro/internal/program"
 	"repro/internal/tracestream"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -126,5 +127,56 @@ func TestMultipathWalkFallsBackToBlockIndex(t *testing.T) {
 		if len(snap) > 0 && res.Report.CacheInstrs == 0 {
 			t.Errorf("%s: %d preloaded regions never executed", name, len(snap))
 		}
+	}
+}
+
+// TestRepeatSkipWaitsForStateToReturn pins the condition of a periodic
+// skip: a period walked inside the cache counts for the ones after it only
+// when it came back to the region and block it started from. Block X falls
+// through to Y, which branches back to X, and the preloaded cache holds
+// A = [X] and B = [Y, X]. The interpreter enters A at X; the next period
+// leaves A for B and ends in B at X, so its growth (a transition out of A)
+// must not be repeated; only the period after, from B back to B, may be.
+func TestRepeatSkipWaitsForStateToReturn(t *testing.T) {
+	prog, err := program.New([]isa.Instr{
+		{Op: isa.Br, Cond: isa.CondGt, SrcA: 1, SrcB: 0, Target: 2}, // X
+		{Op: isa.Br, Cond: isa.CondGt, SrcA: 1, SrcB: 0, Target: 0}, // Y
+		{Op: isa.Halt},
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := codecache.BlockSpec{Start: 0, Len: 1}, codecache.BlockSpec{Start: 1, Len: 1}
+	preload := []codecache.RegionSnapshot{
+		{Entry: 0, Blocks: []codecache.BlockSpec{x}},
+		{Entry: 1, Blocks: []codecache.BlockSpec{y, x}},
+	}
+	var events []vm.BlockEvent
+	for range 40 {
+		events = append(events,
+			vm.BlockEvent{Src: 0, Tgt: 1, Kind: vm.KindCond},
+			vm.BlockEvent{Src: 1, Tgt: 0, Kind: vm.KindCond, Taken: true})
+	}
+	events = append(events, vm.BlockEvent{Src: 0, Tgt: 1, Kind: vm.KindCond}, vm.BlockEvent{Src: 1, Tgt: 2, Kind: vm.KindCond})
+	idle := core.DefaultParams()
+	idle.NETThreshold = 1 << 30
+	cfg := func() dynopt.Config { return dynopt.Config{Selector: core.NewNET(idle), Preload: preload} }
+	c := tracestream.NewCorpus(&tracestream.Stream{Events: events}, prog)
+	if len(c.Repeats()) == 0 {
+		t.Fatal("the stream lists no repeat")
+	}
+	got, err := c.Replay(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := difftest.RefRunEvents(prog, cfg(), events, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := difftest.CompareResults(got, want); err != nil {
+		t.Error(err)
+	}
+	if got.Collector.SkippedEvents == 0 {
+		t.Error("no period was skipped")
 	}
 }

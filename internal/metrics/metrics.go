@@ -16,8 +16,10 @@ import (
 	"repro/internal/vm"
 )
 
-// Collector accumulates raw execution facts during a simulation run.
-type Collector struct {
+// Counters are a run's execution facts: every one of them only ever grows
+// by addition, so a stretch of execution that repeats adds the same amount
+// each time (Repeat).
+type Counters struct {
 	// TotalInstrs is every instruction executed by the program.
 	TotalInstrs uint64
 	// CacheInstrs is the subset executed from the code cache.
@@ -37,6 +39,29 @@ type Collector struct {
 	CacheExits uint64
 	// InterpBranches counts interpreted taken branches.
 	InterpBranches uint64
+}
+
+// Repeat adds n more times what the counters gained since they read
+// before: the growth of one more stretch of execution applied n times.
+func (c *Counters) Repeat(before Counters, n uint64) {
+	c.TotalInstrs += (c.TotalInstrs - before.TotalInstrs) * n
+	c.CacheInstrs += (c.CacheInstrs - before.CacheInstrs) * n
+	c.Transitions += (c.Transitions - before.Transitions) * n
+	c.PageTransitions += (c.PageTransitions - before.PageTransitions) * n
+	c.TransitionBytes += (c.TransitionBytes - before.TransitionBytes) * n
+	c.CacheEnters += (c.CacheEnters - before.CacheEnters) * n
+	c.CacheExits += (c.CacheExits - before.CacheExits) * n
+	c.InterpBranches += (c.InterpBranches - before.InterpBranches) * n
+}
+
+// Collector accumulates raw execution facts during a simulation run.
+type Collector struct {
+	Counters
+	// SkippedEvents counts the block events whose effect the simulator
+	// applied in bulk instead of walking them one by one (a replay's
+	// repeated in-cache periods). It describes how the run was simulated,
+	// not the run, so no Report field carries it.
+	SkippedEvents uint64
 
 	// own is the collector's edge table, counted by CountEdges. borrowed,
 	// when set, replaces it for the run: a shared, read-only table of the

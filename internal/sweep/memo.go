@@ -14,12 +14,14 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/tracestream"
+	"repro/internal/vm"
 )
 
 // MemoMode switches trace memoization. The zero value is MemoOn: callers
@@ -112,9 +114,12 @@ func (e *engine) Miss(shard *Shard, run runnable, job Job) (metrics.Report, erro
 // and returns the full result, Cache and Collector included: the first run
 // of a program records it, and every later run of the same program, under
 // any selector, cache bound, preload or i-cache, replays the recording.
-// cfg must leave VM and Tap unset: the recording assumes the VM's default
-// bounds, and a replay feeds no tap.
+// cfg must leave VM and Tap unset, or Simulate fails: the recording assumes
+// the VM's default bounds, and a replay feeds no tap.
 func (r *Runner) Simulate(p *program.Program, cfg dynopt.Config) (dynopt.Result, error) {
+	if cfg.VM != (vm.Config{}) || cfg.Tap != nil {
+		return dynopt.Result{}, errors.New("sweep: Simulate takes no VM bounds or tap")
+	}
 	return simulate(r.ensureStore(0), tracestream.Key{Digest: p.Digest()}, p, cfg)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dynopt"
 	"repro/internal/tracestream"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -352,5 +353,28 @@ func TestMemoKeysByProgramContent(t *testing.T) {
 	}
 	if st := r.MemoStats(); st.Misses != 1 || st.Hits != 3 {
 		t.Errorf("stats = %+v, want 1 miss (one recording) and 3 replays", st)
+	}
+}
+
+// TestSimulateRejectsVMAndTap pins Simulate's contract: a cfg that sets VM
+// bounds or a tap fails before anything runs or records, since a replay
+// would ignore both; the same cfg without them runs.
+func TestSimulateRejectsVMAndTap(t *testing.T) {
+	r := NewRunner()
+	p := workloads.MustGet("gzip").Build(testScale)
+	for name, cfg := range map[string]dynopt.Config{
+		"vm":  {VM: vm.Config{MaxInstrs: 1 << 20}},
+		"tap": {Tap: tracestream.NewMemRecorder(p, "gzip", testScale)},
+	} {
+		cfg.Selector = core.NewNET(core.DefaultParams())
+		if _, err := r.Simulate(p, cfg); err == nil {
+			t.Errorf("%s: Simulate accepted the cfg", name)
+		}
+	}
+	if st := r.MemoStats(); st.Misses != 0 || st.Hits != 0 {
+		t.Errorf("rejected cfgs touched the store: %+v", st)
+	}
+	if _, err := r.Simulate(p, dynopt.Config{Selector: core.NewNET(core.DefaultParams())}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/dynopt"
 	"repro/internal/tracestream"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -46,13 +47,15 @@ func TestMemRecorderMatchesDiskRecorder(t *testing.T) {
 		t.Error("corpus does not carry the recorded program")
 	}
 	// The budget charge covers everything the recording holds: the arena
-	// by capacity plus the edge table every replay borrows.
+	// by capacity plus the edge table and repeat list every replay borrows.
 	edges := mem.Edges()
 	if edges == nil {
 		t.Fatal("recorded corpus carries no edge table")
 	}
 	arena := int64(cap(mem.Stream.Events)) * int64(unsafe.Sizeof(vm.BlockEvent{}))
-	if edges.SizeBytes() <= 0 || mem.SizeBytes() != arena+edges.SizeBytes() {
-		t.Errorf("SizeBytes %d, want arena %d + edge table %d", mem.SizeBytes(), arena, edges.SizeBytes())
+	reps := int64(cap(mem.Repeats())) * int64(unsafe.Sizeof(dynopt.Repeat{}))
+	if edges.SizeBytes() <= 0 || reps <= 0 || mem.SizeBytes() != arena+edges.SizeBytes()+reps {
+		t.Errorf("SizeBytes %d, want arena %d + edge table %d + repeat list %d",
+			mem.SizeBytes(), arena, edges.SizeBytes(), reps)
 	}
 }

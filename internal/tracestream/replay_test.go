@@ -295,3 +295,41 @@ func TestReplayMatchesLiveFigureConfigs(t *testing.T) {
 		t.Error("no selector flushed the 512-byte cache")
 	}
 }
+
+// TestReplaySkipsRepeatedPeriods pins how much of each SPEC workload's
+// replay under NET the repeat list skips, at the default scale, next to the
+// live run the corpus recorded. vortex, whose stream repeats no period
+// three times, is the negative control and must skip nothing; eon and
+// mcf, whose hot loops run entirely inside the cache, must skip more than
+// half their events. Every replay must still report what the live run did.
+func TestReplaySkipsRepeatedPeriods(t *testing.T) {
+	for _, name := range workloads.SpecNames() {
+		prog := workloads.MustGet(name).Build(0)
+		rec := tracestream.NewMemRecorder(prog, name, 0)
+		live, err := dynopt.Run(prog, dynopt.Config{Selector: core.NewNET(core.DefaultParams()), Tap: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rec.Corpus(live.VMStats)
+		res, err := c.Replay(dynopt.Config{Selector: core.NewNET(core.DefaultParams())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reportJSON(t, res.Report), reportJSON(t, live.Report); !bytes.Equal(got, want) {
+			t.Errorf("%s: replay reports\n%s\nlive run\n%s", name, got, want)
+		}
+		events := len(c.Stream.Events)
+		share := float64(res.Collector.SkippedEvents) / float64(events)
+		t.Logf("%-8s %6d events, %4d repeats, %5.1f%% skipped", name, events, len(c.Repeats()), 100*share)
+		switch name {
+		case "vortex":
+			if res.Collector.SkippedEvents != 0 {
+				t.Errorf("vortex skipped %d events, want 0", res.Collector.SkippedEvents)
+			}
+		case "eon", "mcf":
+			if share <= 0.5 {
+				t.Errorf("%s skipped %.1f%% of its events, want more than half", name, 100*share)
+			}
+		}
+	}
+}

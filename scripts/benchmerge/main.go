@@ -37,6 +37,7 @@ type run struct {
 	NsPerInstr    *float64 `json:"ns_per_instr"`
 	BytesPerInstr *float64 `json:"bytes_per_instr"`
 	JobsPerSec    *float64 `json:"jobs_per_s,omitempty"`
+	SkippedPerEv  *float64 `json:"skipped_per_event,omitempty"`
 	CPU           string   `json:"cpu,omitempty"`
 	GOMAXPROCS    int      `json:"gomaxprocs,omitempty"`
 }
@@ -132,6 +133,8 @@ func parseLine(line string) (string, run, bool) {
 			r.BytesPerInstr = &v
 		case "jobs/s":
 			r.JobsPerSec = &v
+		case "skipped/event":
+			r.SkippedPerEv = &v
 		}
 	}
 	return name, r, true

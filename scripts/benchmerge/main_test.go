@@ -16,6 +16,9 @@ func TestParseLine(t *testing.T) {
 		{"BenchmarkPipeline \t 3\t 400000000 ns/op\t 8.10 ns/instr\t 0.50 B/instr",
 			"BenchmarkPipeline", 1,
 			run{Iters: 3, NsPerOp: f(4e8), NsPerInstr: f(8.1), BytesPerInstr: f(0.5)}},
+		{"BenchmarkReplay/replay-2 \t 9000\t 104446 ns/op\t 2.62 ns/event\t 0.33 ns/instr\t 0.70 skipped/event",
+			"BenchmarkReplay/replay", 2,
+			run{Iters: 9000, NsPerOp: f(104446), NsPerInstr: f(0.33), SkippedPerEv: f(0.7)}},
 	} {
 		name, got, ok := parseLine(c.line)
 		if !ok || name != c.name || got.GOMAXPROCS != c.procs || got.Iters != c.want.Iters {
@@ -32,6 +35,7 @@ func TestParseLine(t *testing.T) {
 			{"ns/instr", got.NsPerInstr, c.want.NsPerInstr},
 			{"B/instr", got.BytesPerInstr, c.want.BytesPerInstr},
 			{"jobs/s", got.JobsPerSec, c.want.JobsPerSec},
+			{"skipped/event", got.SkippedPerEv, c.want.SkippedPerEv},
 		} {
 			if (m.got == nil) != (m.want == nil) || m.got != nil && *m.got != *m.want {
 				t.Errorf("parseLine(%q) %s = %v, want %v", c.line, m.unit, m.got, m.want)

@@ -35,8 +35,8 @@
 # pooled Combiner and the adaptive meta-selector included, and between
 # the simulator's region walk and the frozen event-at-a-time simulator),
 # and a short fuzz pass over the selector, region-walk, wire-codec,
-# trace-stream, assembler, compact-trace, and lint directive-grammar fuzz
-# targets.
+# trace-stream, repeat-finder, assembler, compact-trace, and lint
+# directive-grammar fuzz targets.
 #
 #   scripts/check.sh [fuzztime]
 #
@@ -170,6 +170,8 @@ if [ "$fuzztime" != "0" ]; then
     go test -run '^$' -fuzz '^FuzzJobCodec$' -fuzztime "$fuzztime" ./internal/sweepnet/
     echo "== fuzz: FuzzStreamDecode ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzStreamDecode$' -fuzztime "$fuzztime" ./internal/tracestream/
+    echo "== fuzz: FuzzRepeatFinder ($fuzztime) =="
+    go test -run '^$' -fuzz '^FuzzRepeatFinder$' -fuzztime "$fuzztime" ./internal/tracestream/
     echo "== fuzz: FuzzParse ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzParse$' -fuzztime "$fuzztime" ./internal/asm/
     echo "== fuzz: FuzzParseNoCrashOnGarbage ($fuzztime) =="
