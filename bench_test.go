@@ -629,7 +629,8 @@ func BenchmarkCombine(b *testing.B) {
 // selectors × points jobs. memo=off interprets all of them live; memo=on
 // pays one recorded live run per cell (a fresh Runner per iteration keeps
 // that cost in the measurement) and replays the rest from the in-memory
-// corpus. The jobs/s ratio between the two sub-benchmarks is the
+// corpus. Both modes run on shards warm from the process-wide pool, so
+// neither pays for a fresh VM memory image per iteration. The jobs/s ratio between the two sub-benchmarks is the
 // memoization speedup claimed in docs/PERFORMANCE.md — it grows with
 // jobs-per-cell and with the live/replay cost ratio of the workload
 // (interpretation-heavy cells like bzip2 and mcf replay ~4× cheaper;

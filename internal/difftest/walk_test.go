@@ -156,25 +156,48 @@ func TestDiffRegionWalk(t *testing.T) {
 	}
 	var skipped uint64
 	for seed := 0; seed < seeds; seed++ {
-		p := workloads.Random(workloads.GenConfig{
-			Seed:       int64(seed),
-			Funcs:      seed % 4,
-			MaxDepth:   2,
-			Iters:      10 + seed%13,
-			Constructs: 3 + seed%3,
-		})
-		params := RandomParams(int64(seed))
-		extra := walkVariant(1 + seed%int(numWalkVariants-1))
-		for _, newSel := range Selectors(params) {
-			for _, v := range []walkVariant{variantPlain, extra} {
-				if err := diffWalk(t, p, newSel, v, &skipped); err != nil {
-					t.Fatalf("seed %d under %s (%s): %v", seed, newSel().Name(), v, err)
-				}
-			}
-		}
+		diffWalkSeed(t, seed, &skipped)
 	}
 	if skipped == 0 {
 		t.Error("no replay skipped a repeated period")
+	}
+}
+
+// crossRegionSeed is a corpus seed whose program puts one loop block into
+// two regions under lei+comb: its recording has a period that starts and
+// ends at that block but in different regions, which the replay must walk
+// instead of repeating. Few seeds reach such a period, and none below the
+// short corpus's 120.
+const crossRegionSeed = 740
+
+// TestDiffRegionWalkCrossRegionPeriod diffs the walk on crossRegionSeed in
+// every mode, so the short run covers a repeat whose walked period ends in
+// a different region from where it started.
+func TestDiffRegionWalkCrossRegionPeriod(t *testing.T) {
+	var skipped uint64
+	diffWalkSeed(t, crossRegionSeed, &skipped)
+}
+
+// diffWalkSeed diffs corpus program seed under every selector, in the plain
+// variant and the one its seed rotates to, adding skipped events to
+// skipped.
+func diffWalkSeed(t *testing.T, seed int, skipped *uint64) {
+	t.Helper()
+	p := workloads.Random(workloads.GenConfig{
+		Seed:       int64(seed),
+		Funcs:      seed % 4,
+		MaxDepth:   2,
+		Iters:      10 + seed%13,
+		Constructs: 3 + seed%3,
+	})
+	params := RandomParams(int64(seed))
+	extra := walkVariant(1 + seed%int(numWalkVariants-1))
+	for _, newSel := range Selectors(params) {
+		for _, v := range []walkVariant{variantPlain, extra} {
+			if err := diffWalk(t, p, newSel, v, skipped); err != nil {
+				t.Fatalf("seed %d under %s (%s): %v", seed, newSel().Name(), v, err)
+			}
+		}
 	}
 }
 

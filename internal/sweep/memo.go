@@ -84,7 +84,7 @@ func (e *engine) dispatch(shard *Shard, run runnable, job Job) (metrics.Report, 
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		return job.report(simulate(e.store, run.key, run.prog, cfg))
+		return job.report(simulate(e.store, run.key, run.prog, cfg, &shard.rec))
 	}
 	return shard.Run(run.prog, job)
 }
@@ -120,18 +120,25 @@ func (r *Runner) Simulate(p *program.Program, cfg dynopt.Config) (dynopt.Result,
 	if cfg.VM != (vm.Config{}) || cfg.Tap != nil {
 		return dynopt.Result{}, errors.New("sweep: Simulate takes no VM bounds or tap")
 	}
-	return simulate(r.ensureStore(0), tracestream.Key{Digest: p.Digest()}, p, cfg)
+	return simulate(r.ensureStore(0), tracestream.Key{Digest: p.Digest()}, p, cfg, new(tracestream.MemRecorder))
 }
 
 // simulate is the one record-or-replay step: replay k's corpus when it is
-// resident; when the caller claims k, run p live with a MemRecorder tapped
-// off the VM and admit the recording; otherwise (another caller holds the
-// claim, or the budget rejected the corpus) run p live without blocking.
-// The result is identical on every branch, so a first-touch race costs only
-// the replay opportunity, never correctness.
+// resident; when the caller claims k, run p live with rec tapped off the VM
+// and admit the recording; otherwise (another caller holds the claim, or
+// the budget rejected the corpus) run p live without blocking. The result
+// is identical on every branch, so a first-touch race costs only the
+// replay opportunity, never correctness.
+//
+// rec is reset for the recording and keeps its arena afterwards: the
+// engine passes its shard's recorder, so a shard records into an arena an
+// earlier recording already grew, and the corpus costs one exact-size copy.
+// A recording the store rejects as larger than its whole budget drops the
+// arena, so a shard keeps no arena grown for a recording that no store
+// had room for.
 //
 //lint:hotpath memoized replay (TestShardMemoAllocFree)
-func simulate(store *tracestream.Store, k tracestream.Key, p *program.Program, cfg dynopt.Config) (dynopt.Result, error) {
+func simulate(store *tracestream.Store, k tracestream.Key, p *program.Program, cfg dynopt.Config, rec *tracestream.MemRecorder) (dynopt.Result, error) {
 	if c := store.Get(k); c != nil {
 		return c.Replay(cfg)
 	}
@@ -142,13 +149,15 @@ func simulate(store *tracestream.Store, k tracestream.Key, p *program.Program, c
 	case !claimed:
 		return dynopt.Run(p, cfg)
 	}
-	rec := tracestream.NewMemRecorder(p, "", 0)
+	rec.Reset(p, "", 0)
 	cfg.Tap = rec
 	res, err := dynopt.Run(p, cfg)
 	if err != nil {
 		store.Abandon(k)
 		return dynopt.Result{}, err
 	}
-	store.Admit(k, &rec.Corpus(res.VMStats).Corpus)
+	if !store.Admit(k, &rec.Corpus(res.VMStats).Corpus) {
+		*rec = tracestream.MemRecorder{}
+	}
 	return res, nil
 }

@@ -6,11 +6,13 @@
 // The paper's evaluation is a parameter study — selector behavior under
 // varying thresholds, history-buffer sizes, and cache bounds — and the
 // engine is built so such studies are pure compute: each shard owns one
-// dynopt.Scratch (interpreter, simulator, collector, analyzer, code cache)
-// and a pool of Resettable selectors, programs are built once and shared
-// read-only across shards, and the reorder ring reuses its slots, so a
-// shard's steady-state job loop performs zero heap allocations (enforced by
-// TestShardSteadyStateAllocFree).
+// dynopt.Scratch (interpreter, simulator, collector, analyzer, code cache),
+// a pool of Resettable selectors and a recording arena, programs are built
+// once and shared read-only across shards, and the reorder ring reuses its
+// slots, so a shard's steady-state job loop performs zero heap allocations
+// (enforced by TestShardSteadyStateAllocFree). Shards are process-wide:
+// every run acquires them from one idle list and returns them to it, so the
+// throwaway Runner of each Run or RunGrid call starts with warm shards.
 package sweep
 
 import (
@@ -131,17 +133,27 @@ type Options struct {
 	MemoBudgetBytes int64
 }
 
-// Shard is the per-worker execution state: one pooled dynopt.Scratch and a
-// pool of Resettable selectors keyed by configuration name. After warm-up
-// (first job per workload/selector shape), Run performs zero heap
-// allocations per job for all four paper selectors — the combining ones
-// store observed traces in a per-Combiner arena and reuse one pooled
-// RegionCFG (see docs/PERFORMANCE.md).
+// Shard is the per-worker execution state: one pooled dynopt.Scratch, a
+// pool of Resettable selectors keyed by configuration name, a trace-file
+// reader and a recording arena. After warm-up (first job per
+// workload/selector shape), Run performs zero heap allocations per job for
+// all four paper selectors — the combining ones store observed traces in a
+// per-Combiner arena and reuse one pooled RegionCFG (see
+// docs/PERFORMANCE.md).
+//
+// A shard holds nothing of the Runner that ran it, so the engine keeps idle
+// shards in one process-wide list (acquireShard). While idle a shard
+// retains its warm state: the VM's data memory (8 MiB at the default
+// MemWords) and predecoded code, the code cache, collector and analyzer
+// tables, its selectors, the reader's buffers, the recorder's arena — at
+// most the largest recording a store admitted, plus append slack — and a
+// reference to the last program it ran.
 type Shard struct {
 	scratch   dynopt.Scratch
 	selectors map[string]core.Selector
 	//lint:keep streaming buffers; stream re-targets the reader per job
 	reader tracestream.Reader
+	rec    tracestream.MemRecorder
 }
 
 // NewShard returns an empty shard.
@@ -293,48 +305,57 @@ func (pc *progCache) get(name string, scale int) (runnable, error) {
 	return r, nil
 }
 
-// Runner owns the reusable execution state of the sweep engine — a pool of
-// worker shards, the built-program cache, and the corpus store — so
-// successive runs (whole grids, or contiguous ranges of one large grid)
-// keep their pooled dynopt.Scratch, Resettable selectors, once-built
-// programs, and resident corpora across calls. It is safe for concurrent use; a sweepd worker keeps one Runner
-// for its whole lifetime so every job range it executes reuses the same
-// warmed state.
+// Runner owns the per-study state of the sweep engine — the built-program
+// cache and the corpus store — so successive runs (whole grids, or
+// contiguous ranges of one large grid) keep their once-built programs and
+// resident corpora across calls. It owns no shards: its runs take them from
+// the process-wide idle list (acquireShard), so even a fresh Runner runs on
+// warm shards. It is safe for concurrent use; a sweepd worker keeps one
+// Runner for its whole lifetime so every job range it executes replays the
+// same corpora.
 type Runner struct {
-	mu     sync.Mutex
-	shards []*Shard
-	progs  progCache
-	store  *tracestream.Store
+	mu    sync.Mutex
+	progs progCache
+	store *tracestream.Store
 }
 
-// NewRunner returns an empty runner; shards and programs are built on first
-// use and pooled thereafter.
+// NewRunner returns an empty runner; programs are built on first use and
+// kept thereafter.
 func NewRunner() *Runner { return &Runner{} }
 
-// acquire pops a pooled shard, building one on pool miss.
-func (r *Runner) acquire() *Shard {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.shards); n > 0 {
-		s := r.shards[n-1]
-		r.shards = r.shards[:n-1]
+// shardPool is the process-wide list of idle shards. Every engine worker
+// pops one on start and pushes it back on exit, so the list holds at most
+// the peak number of shards that ran at once. It is a plain list, not a
+// sync.Pool: a sync.Pool drops its entries at every garbage collection, and
+// a single pass of a grid triggers several.
+var shardPool struct {
+	mu   sync.Mutex
+	idle []*Shard
+}
+
+// acquireShard pops an idle shard, building one when none is idle.
+func acquireShard() *Shard {
+	shardPool.mu.Lock()
+	defer shardPool.mu.Unlock()
+	if n := len(shardPool.idle); n > 0 {
+		s := shardPool.idle[n-1]
+		shardPool.idle = shardPool.idle[:n-1]
 		return s
 	}
 	return NewShard()
 }
 
-// release returns a shard to the pool.
-func (r *Runner) release(s *Shard) {
-	r.mu.Lock()
-	r.shards = append(r.shards, s)
-	r.mu.Unlock()
+// releaseShard returns a shard to the idle list.
+func releaseShard(s *Shard) {
+	shardPool.mu.Lock()
+	shardPool.idle = append(shardPool.idle, s)
+	shardPool.mu.Unlock()
 }
 
 // ensureStore returns the runner's corpus store, creating it on first use.
-// The store — like the shard pool and program cache — lives as long as the
-// runner, so successive runs replay corpora earlier runs recorded or
-// decoded. The first run to create the store fixes its budget; later runs
-// reuse it.
+// The store — like the program cache — lives as long as the runner, so
+// successive runs replay corpora earlier runs recorded or decoded. The
+// first run to create the store fixes its budget; later runs reuse it.
 func (r *Runner) ensureStore(budgetBytes int64) *tracestream.Store {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -547,8 +568,8 @@ func (r *Runner) run(ctx context.Context, src jobSource, lo, hi int, opts Option
 }
 
 func (e *engine) worker(id int) {
-	shard := e.runner.acquire()
-	defer e.runner.release(shard)
+	shard := acquireShard()
+	defer releaseShard(shard)
 	q := e.queues[id]
 	for {
 		if e.ctx.Err() != nil {

@@ -12,8 +12,10 @@ import (
 // into a replay-ready MemCorpus whose events feed dynopt.RunEvents as-is.
 // The sweep engine's memoization layer (internal/sweep) records each
 // program once this way and replays it for every other run of the program.
+// A recorder is reusable: Reset starts a fresh take into the same arena, so
+// a long-lived recorder (one per sweep shard) records a cell without
+// growing its arena again.
 type MemRecorder struct {
-	//lint:keep identifies the program being recorded; the arena starts a fresh take
 	h      Header
 	prog   *program.Program
 	events []vm.BlockEvent
@@ -22,16 +24,29 @@ type MemRecorder struct {
 // NewMemRecorder prepares an in-memory recording of program p, labeled with
 // the workload name and scale that built it.
 func NewMemRecorder(p *program.Program, workload string, scale int) *MemRecorder {
-	return &MemRecorder{
-		h: Header{
-			Workload:      workload,
-			Scale:         scale,
-			ProgramLen:    p.Len(),
-			ProgramDigest: p.Digest(),
-		},
-		prog: p,
-	}
+	r := new(MemRecorder)
+	r.Reset(p, workload, scale)
+	return r
 }
+
+// Reset re-targets the recorder at program p, labeled with the workload
+// name and scale that built it, and discards the recorded events. The
+// arena keeps its capacity, so recording a stream no longer than an
+// earlier one appends without allocating.
+func (r *MemRecorder) Reset(p *program.Program, workload string, scale int) {
+	r.h = Header{
+		Workload:      workload,
+		Scale:         scale,
+		ProgramLen:    p.Len(),
+		ProgramDigest: p.Digest(),
+	}
+	r.prog = p
+	r.events = r.events[:0]
+}
+
+// ArenaBytes reports the capacity of the recorder's arena in bytes: what
+// the recorder holds between takes.
+func (r *MemRecorder) ArenaBytes() int64 { return int64(cap(r.events)) * eventBytes }
 
 // BlockBatch implements vm.BlockSink, appending the batch to the arena. The
 // VM reuses the batch slice, so events are copied, never retained.
@@ -43,15 +58,17 @@ func (r *MemRecorder) BlockBatch(events []vm.BlockEvent) {
 
 // Corpus seals the recording into a replay-ready in-memory corpus, stamping
 // the run totals from the recorded run's stats and counting the arena's
-// edge table (NewCorpus). The recorder must not be reused afterwards — the
-// corpus owns the arena.
+// edge table (NewCorpus). The corpus gets an exact-size copy of the
+// recorded events; the arena stays with the recorder for its next take.
 func (r *MemRecorder) Corpus(st vm.Stats) *MemCorpus {
 	h := r.h
 	h.Events = uint64(len(r.events))
 	h.Branches = st.Branches
 	h.Instrs = st.Instrs
 	h.FinalPC = st.FinalPC
-	return &MemCorpus{Corpus: *NewCorpus(&Stream{Header: h, Events: r.events}, r.prog)}
+	events := make([]vm.BlockEvent, len(r.events))
+	copy(events, r.events)
+	return &MemCorpus{Corpus: *NewCorpus(&Stream{Header: h, Events: events}, r.prog)}
 }
 
 // MemCorpus is a Corpus that only ever lived in memory: recorded by a

@@ -4,7 +4,9 @@
 // already recorded, so re-running a subset never clobbers the rest of the
 // file. Each run is stamped with the machine it ran on — the input's
 // `cpu:` header line and the GOMAXPROCS suffix of the benchmark name — so a
-// recorded number always carries its conditions. Used by scripts/bench.sh.
+// recorded number always carries its machine. A benchmark's conditions —
+// live or replayed, memo cold or warm — are a hand-written note on its
+// entry that re-recording keeps. Used by scripts/bench.sh.
 //
 //	go test -bench ... -benchmem . | go run ./scripts/benchmerge -out BENCH_pipeline.json
 package main
@@ -14,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,7 +27,10 @@ type doc struct {
 }
 
 type entry struct {
-	Runs []run `json:"runs"`
+	// Conditions states how the benchmark runs (live or replayed, memo
+	// cold or warm); written by hand and kept when the runs are replaced.
+	Conditions string `json:"conditions,omitempty"`
+	Runs       []run  `json:"runs"`
 }
 
 // run mirrors one benchmark result line. Pointer fields render as null when
@@ -58,10 +64,25 @@ func main() {
 		fail(err)
 	}
 
-	// Benchmarks seen in this input replace their prior runs wholesale.
+	if err := merge(&d, os.Stdin); err != nil {
+		fail(err)
+	}
+
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		fail(err)
+	}
+}
+
+// merge folds raw benchmark output into d: benchmarks seen in the input
+// replace their prior runs wholesale and keep their conditions.
+func merge(d *doc, in io.Reader) error {
 	replaced := map[string]bool{}
 	cpu := ""
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		if c, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
 			cpu = c
@@ -74,25 +95,22 @@ func main() {
 		r.CPU = cpu
 		if !replaced[name] {
 			replaced[name] = true
-			d.Benchmarks[name] = &entry{}
+			e := &entry{}
+			if old := d.Benchmarks[name]; old != nil {
+				e.Conditions = old.Conditions
+			}
+			d.Benchmarks[name] = e
 		}
 		e := d.Benchmarks[name]
 		e.Runs = append(e.Runs, r)
 	}
 	if err := sc.Err(); err != nil {
-		fail(err)
+		return err
 	}
 	if len(replaced) == 0 {
-		fail(fmt.Errorf("no benchmark lines found on stdin"))
+		return fmt.Errorf("no benchmark lines found on stdin")
 	}
-
-	data, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fail(err)
-	}
+	return nil
 }
 
 // parseLine decodes one `go test -bench` result line: the benchmark name,

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseLine(t *testing.T) {
 	f := func(v float64) *float64 { return &v }
@@ -46,5 +49,29 @@ func TestParseLine(t *testing.T) {
 		if _, _, ok := parseLine(line); ok {
 			t.Errorf("parseLine(%q) accepted a non-result line", line)
 		}
+	}
+}
+
+// TestMergeKeepsConditions pins the merge: a re-recorded benchmark's runs
+// are replaced and its conditions kept, and a benchmark absent from the
+// input keeps its runs.
+func TestMergeKeepsConditions(t *testing.T) {
+	d := doc{Benchmarks: map[string]*entry{
+		"BenchmarkA": {Conditions: "replayed, memo warm", Runs: []run{{Iters: 1}}},
+		"BenchmarkB": {Runs: []run{{Iters: 2}}},
+	}}
+	in := "cpu: Test CPU\nBenchmarkA-2 \t 7\t 100 ns/op\nBenchmarkA-2 \t 8\t 90 ns/op\n"
+	if err := merge(&d, strings.NewReader(in)); err != nil {
+		t.Fatal(err)
+	}
+	a := d.Benchmarks["BenchmarkA"]
+	if a.Conditions != "replayed, memo warm" || len(a.Runs) != 2 || a.Runs[0].Iters != 7 || a.Runs[1].CPU != "Test CPU" {
+		t.Errorf("re-recorded entry = %+v, want its conditions and the two new runs", a)
+	}
+	if b := d.Benchmarks["BenchmarkB"]; len(b.Runs) != 1 || b.Runs[0].Iters != 2 {
+		t.Errorf("untouched entry = %+v, want its old run", b)
+	}
+	if err := merge(&d, strings.NewReader("PASS\n")); err == nil {
+		t.Error("merge accepted input without benchmark lines")
 	}
 }
