@@ -251,7 +251,7 @@ func BenchmarkSweep(b *testing.B) {
 		Scale:     benchScale,
 		Selectors: sweep.PaperSelectors(),
 	}
-	jobs := grid.Jobs()
+	njobs := grid.NumJobs()
 	shardCounts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		shardCounts = append(shardCounts, n)
@@ -260,14 +260,14 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var sink sweep.CountingSink
-				if err := sweep.Run(context.Background(), jobs, sweep.Options{Shards: shards}, &sink); err != nil {
+				if err := sweep.RunGrid(context.Background(), grid, sweep.Options{Shards: shards}, &sink); err != nil {
 					b.Fatal(err)
 				}
-				if sink.N != len(jobs) {
-					b.Fatalf("delivered %d of %d jobs", sink.N, len(jobs))
+				if sink.N != njobs {
+					b.Fatalf("delivered %d of %d jobs", sink.N, njobs)
 				}
 			}
-			b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/s")
+			b.ReportMetric(float64(njobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
 }
@@ -277,10 +277,10 @@ func BenchmarkSweep(b *testing.B) {
 // sweepd workers, and the coordinator's ordered merge. Its delta over
 // BenchmarkSweep is not the protocol's overhead alone: the workers start
 // once and keep their memos warm across b.N, so after the first iteration
-// every job replays, while sweep.Run builds a fresh Runner each iteration
-// and records every cell again. The delta is therefore the protocol's cost
-// (framing, varint codec, TCP loopback, reorder admission) minus the
-// recordings the warm workers skip.
+// every job replays, while sweep.RunGrid builds a fresh Runner each
+// iteration and records every cell again. The delta is therefore the
+// protocol's cost (framing, varint codec, TCP loopback, reorder admission)
+// minus the recordings the warm workers skip.
 func BenchmarkSweepRemote(b *testing.B) {
 	grid := sweep.Grid{
 		Workloads: workloads.SpecNames(),
@@ -548,13 +548,13 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 // (ExtraIDs: the T_prof, history-buffer and threshold sweeps, ablations,
 // random corpus, bounded cache, optimizer, related work, persistent cache,
 // loop coverage, i-cache, input sensitivity, and dynamic selection) at a
-// reduced scale. Each study records every program it runs once and replays
-// it for the study's other runs.
+// reduced scale on a fresh sweep.Runner per iteration. Each study records
+// every program it runs once and replays it for the study's other runs.
 func BenchmarkExtraFigures(b *testing.B) {
 	for _, id := range experiments.ExtraIDs() {
 		b.Run(id, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.BuildExtra(id, 60); err != nil {
+				if _, err := experiments.BuildExtra(sweep.NewRunner(), id, 60); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -69,13 +70,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// One Runner serves every extension study, so each program is recorded
+	// once per invocation and replayed by every study that runs it.
+	runner := sweep.NewRunner()
 	for i, id := range ids {
 		id = strings.TrimSpace(id)
 		var f experiments.Figure
 		var err error
 		if isExtra[id] {
 			fmt.Fprintf(os.Stderr, "running %s (scale=%d)...\n", id, *scale)
-			f, err = experiments.BuildExtra(id, *scale)
+			f, err = experiments.BuildExtra(runner, id, *scale)
 		} else {
 			f, err = experiments.Build(id, res)
 		}

@@ -206,7 +206,7 @@ func (s *RefSimulator) finish(st vm.Stats) (dynopt.Result, error) {
 			s.col.TotalInstrs, st.Instrs)
 	}
 	st.Instrs = s.col.TotalInstrs
-	report := metrics.Analyze(s.cache, s.col, s.sel.Stats())
+	report := new(metrics.Analyzer).Analyze(s.cache, s.col, s.sel.Stats())
 	report.Selector = s.sel.Name()
 	return dynopt.Result{Report: report, VMStats: st, Cache: s.cache, Collector: s.col}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dynopt"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
@@ -27,14 +26,20 @@ func DynamicStudy(r *sweep.Runner, scale int) (Figure, error) {
 	cols = append(cols, sels...)
 	t := stats.NewTable("hit rate (%)", cols, formats...)
 	benches := append(workloads.SpecNames(), "phased")
-	for _, b := range benches {
+	reps, err := runGrid(r, sweep.Grid{
+		Workloads: benches,
+		Scale:     scale,
+		Selectors: sels,
+		Configs:   []sweep.Config{{Params: core.DefaultParams()}},
+	})
+	if err != nil {
+		return Figure{}, err
+	}
+	for i, b := range benches {
 		hits := make([]float64, 0, len(sels))
 		winner, best := "", -1.0
-		for _, sel := range sels {
-			rep, err := runOne(r, b, sel, scale, core.DefaultParams())
-			if err != nil {
-				return Figure{}, err
-			}
+		for j, sel := range sels {
+			rep := reps[i*len(sels)+j]
 			hits = append(hits, 100*rep.HitRate)
 			if rep.HitRate > best {
 				winner, best = sel, rep.HitRate
@@ -74,30 +79,27 @@ func (p ParetoPoint) Dominates(q ParetoPoint) bool {
 // the adaptive meta-selector at the given detector tuning. It returns the
 // static points followed by the adaptive point.
 func AdaptiveShowcase(scale, limitBytes, window, dwell int) ([]ParetoPoint, error) {
-	w, ok := workloads.Get("phased")
-	if !ok {
-		return nil, fmt.Errorf("experiments: phased workload not registered")
-	}
-	p := w.Build(scale)
 	r := sweep.NewRunner()
 	var out []ParetoPoint
-	run := func(name string, params core.Params) error {
-		res, err := simulate(r, p, name, params, dynopt.Config{CacheLimitBytes: limitBytes})
-		if err != nil {
-			return err
+	run := func(sels []string, params core.Params) error {
+		reps, err := runGrid(r, sweep.Grid{
+			Workloads: []string{"phased"},
+			Scale:     scale,
+			Selectors: sels,
+			Configs:   []sweep.Config{{Params: params, CacheLimitBytes: limitBytes}},
+		})
+		for i, rep := range reps {
+			out = append(out, ParetoPoint{Name: sels[i], HitRate: rep.HitRate, Expansion: rep.CodeExpansion})
 		}
-		out = append(out, ParetoPoint{Name: name, HitRate: res.Report.HitRate, Expansion: res.Report.CodeExpansion})
-		return nil
+		return err
 	}
-	for _, name := range []string{NET, LEI, NETComb, LEIComb} {
-		if err := run(name, core.DefaultParams()); err != nil {
-			return nil, err
-		}
+	if err := run([]string{NET, LEI, NETComb, LEIComb}, core.DefaultParams()); err != nil {
+		return nil, err
 	}
 	params := core.DefaultParams()
 	params.PhaseWindow = window
 	params.PhaseDwell = dwell
-	if err := run(Adaptive, params); err != nil {
+	if err := run([]string{Adaptive}, params); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -78,29 +78,41 @@ func (r *Results) Lookup(bench, sel string) (metrics.Report, bool) {
 	return rep, ok
 }
 
-// RunOne simulates a single (workload, selector) pair.
+// RunOne simulates a single (workload, selector) pair as a one-cell grid.
 func RunOne(bench, sel string, scale int, params core.Params) (metrics.Report, error) {
-	return runOne(sweep.NewRunner(), bench, sel, scale, params)
+	reps, err := runGrid(sweep.NewRunner(), sweep.Grid{
+		Workloads: []string{bench},
+		Scale:     scale,
+		Selectors: []string{sel},
+		Configs:   []sweep.Config{{Params: params}},
+	})
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	return reps[0], nil
 }
 
-// runOne simulates one (workload, selector) pair through r (simulate).
-func runOne(r *sweep.Runner, bench, sel string, scale int, params core.Params) (metrics.Report, error) {
-	w, ok := workloads.Get(bench)
-	if !ok {
-		return metrics.Report{}, fmt.Errorf("experiments: unknown workload %q", bench)
-	}
-	res, err := simulate(r, w.Build(scale), sel, params, dynopt.Config{})
+// runGrid runs g on r's sweep engine and returns its reports in grid
+// enumeration order (workload-major, then config, then selector). Every
+// study that needs only reports runs this way, so one Runner records each
+// program once for all of them.
+func runGrid(r *sweep.Runner, g sweep.Grid) ([]metrics.Report, error) {
+	reps := make([]metrics.Report, g.NumJobs())
+	err := r.RunGrid(context.Background(), g, sweep.Options{}, sweep.FuncSink(func(res sweep.Result) {
+		reps[res.Index] = res.Report
+	}))
 	if err != nil {
-		return metrics.Report{}, fmt.Errorf("experiments: %s under %s: %w", bench, sel, err)
+		return nil, err
 	}
-	res.Report.Workload = bench
-	return res.Report, nil
+	return reps, nil
 }
 
 // simulate runs p under a fresh sel selector built with params, and cfg's
 // other fields, through r's record-or-replay step (sweep.Runner.Simulate):
 // the first run of each program records it, and every later run of the
-// same program replays the recording. Each figure owns one Runner.
+// same program replays the recording. It serves the studies a grid cannot
+// express: those that read the run's Cache or Collector, set Preload or
+// ICache, or run programs the workload registry cannot name.
 func simulate(r *sweep.Runner, p *program.Program, sel string, params core.Params, cfg dynopt.Config) (dynopt.Result, error) {
 	s, err := NewSelector(sel, params)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // checkGolden builds each figure in ids and requires their Markdown,
@@ -48,9 +50,10 @@ func TestPaperFiguresGolden(t *testing.T) {
 // default scales, in the form `papertables -sweeps -markdown` prints them.
 // The figures record each program once and replay it for every other run,
 // so this pin is what proves a change to how they execute did not change
-// what they report.
+// what they report. The figures share one Runner, as papertables runs them.
 func TestExtraFiguresGolden(t *testing.T) {
+	r := sweep.NewRunner()
 	checkGolden(t, "testdata/extras.golden.md", ExtraIDs(), func(id string) (Figure, error) {
-		return BuildExtra(id, 0)
+		return BuildExtra(r, id, 0)
 	})
 }

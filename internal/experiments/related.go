@@ -18,14 +18,21 @@ import (
 func RelatedWork(r *sweep.Runner, scale int) (Figure, error) {
 	t := stats.NewTable("", []string{"hit%", "regions", "transitions", "cover90", "counters", "dom%"},
 		"%7.2f", "%8.0f", "%12.0f", "%8.1f", "%9.0f", "%6.1f")
-	n := float64(len(workloads.SpecNames()))
-	for _, sel := range RelatedSelectors() {
+	benches, sels := workloads.SpecNames(), RelatedSelectors()
+	reps, err := runGrid(r, sweep.Grid{
+		Workloads: benches,
+		Scale:     scale,
+		Selectors: sels,
+		Configs:   []sweep.Config{{Params: core.DefaultParams()}},
+	})
+	if err != nil {
+		return Figure{}, err
+	}
+	n := float64(len(benches))
+	for j, sel := range sels {
 		var hit, regions, transitions, cover, counters, dom float64
-		for _, b := range workloads.SpecNames() {
-			rep, err := runOne(r, b, sel, scale, core.DefaultParams())
-			if err != nil {
-				return Figure{}, err
-			}
+		for i := range benches {
+			rep := reps[i*len(sels)+j]
 			hit += rep.HitRate
 			regions += float64(rep.Regions)
 			transitions += float64(rep.Transitions)

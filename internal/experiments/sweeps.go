@@ -27,11 +27,10 @@ func ExtraIDs() []string {
 	return []string{"sweep-tprof", "sweep-buffer", "sweep-threshold", "ablation", "random-corpus", "bounded", "optimizer", "related", "persistent", "loops", "icache", "inputs", "dynamic"}
 }
 
-// BuildExtra regenerates one sweep or ablation study at the given scale.
-// The study runs on a fresh sweep.Runner, which records each program once
-// and replays it for every other run of the study.
-func BuildExtra(id string, scale int) (Figure, error) {
-	r := sweep.NewRunner()
+// BuildExtra regenerates one sweep or ablation study at the given scale on
+// r, which records each program once and replays it for every other run —
+// of this study and of every other study built on the same Runner.
+func BuildExtra(r *sweep.Runner, id string, scale int) (Figure, error) {
 	switch id {
 	case "sweep-tprof":
 		return SweepTProf(r, scale)
@@ -67,12 +66,19 @@ func BuildExtra(id string, scale int) (Figure, error) {
 // runSuite runs every SPEC benchmark under one selector configuration and
 // returns per-benchmark reports keyed by benchmark name.
 func runSuite(r *sweep.Runner, sel string, scale int, params core.Params) (map[string]metricsByBench, error) {
-	out := map[string]metricsByBench{}
-	for _, b := range workloads.SpecNames() {
-		rep, err := runOne(r, b, sel, scale, params)
-		if err != nil {
-			return nil, err
-		}
+	benches := workloads.SpecNames()
+	reps, err := runGrid(r, sweep.Grid{
+		Workloads: benches,
+		Scale:     scale,
+		Selectors: []string{sel},
+		Configs:   []sweep.Config{{Params: params}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]metricsByBench, len(benches))
+	for i, b := range benches {
+		rep := reps[i]
 		out[b] = metricsByBench{
 			Transitions: float64(rep.Transitions),
 			Cover90:     float64(rep.CoverSet90),

@@ -14,8 +14,9 @@ import (
 )
 
 func TestBuildExtra(t *testing.T) {
+	r := sweep.NewRunner()
 	for _, id := range ExtraIDs() {
-		f, err := BuildExtra(id, smallScale)
+		f, err := BuildExtra(r, id, smallScale)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -26,8 +27,29 @@ func TestBuildExtra(t *testing.T) {
 			t.Errorf("%s: unrendered figure", id)
 		}
 	}
-	if _, err := BuildExtra("bogus", 1); err == nil {
+	if _, err := BuildExtra(r, "bogus", 1); err == nil {
 		t.Error("bogus extra accepted")
+	}
+}
+
+// TestGridStudiesShareRunner builds two grid studies on one Runner: the
+// first records each SPEC program exactly once, and the second, which runs
+// the same programs under other selectors, records nothing.
+func TestGridStudiesShareRunner(t *testing.T) {
+	r := sweep.NewRunner()
+	if _, err := BuildExtra(r, "sweep-buffer", smallScale); err != nil {
+		t.Fatal(err)
+	}
+	first := r.MemoStats()
+	if fills, want := first.Misses-first.Fallbacks, uint64(len(workloads.SpecNames())); fills != want {
+		t.Fatalf("sweep-buffer filled the store %d times, want once per SPEC program (%d): %v", fills, want, first)
+	}
+	if _, err := BuildExtra(r, "related", smallScale); err != nil {
+		t.Fatal(err)
+	}
+	second := r.MemoStats()
+	if second.Misses != first.Misses || second.Hits <= first.Hits {
+		t.Fatalf("related recorded on a Runner that already holds every program:\nafter sweep-buffer: %v\nafter related:      %v", first, second)
 	}
 }
 

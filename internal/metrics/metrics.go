@@ -226,12 +226,6 @@ type Analyzer struct {
 	outside  []isa.Addr
 }
 
-// Analyze computes a Report from a finished run, reusing the analyzer's
-// scratch tables.
-func (a *Analyzer) Analyze(cache *codecache.Cache, col *Collector, selStats core.ProfileStats) Report {
-	return analyze(a, cache, col, selStats)
-}
-
 // buildPreds fills the dense predecessor table from the run's edge counts,
 // only reading the table (it may be a corpus's shared one). Iterating
 // sources in ascending address order yields each target's predecessor list
@@ -328,13 +322,9 @@ func (a *Analyzer) exitDomination(regions []*codecache.Region) (dominated, dupIn
 	return dominated, dupInstrs
 }
 
-// Analyze computes a Report from a finished run on a fresh Analyzer.
-func Analyze(cache *codecache.Cache, col *Collector, selStats core.ProfileStats) Report {
-	var a Analyzer
-	return analyze(&a, cache, col, selStats)
-}
-
-func analyze(a *Analyzer, cache *codecache.Cache, col *Collector, selStats core.ProfileStats) Report {
+// Analyze computes a Report from a finished run, reusing the analyzer's
+// scratch tables.
+func (a *Analyzer) Analyze(cache *codecache.Cache, col *Collector, selStats core.ProfileStats) Report {
 	r := Report{
 		TotalInstrs:     col.TotalInstrs,
 		CacheInstrs:     col.CacheInstrs,

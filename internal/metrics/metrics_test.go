@@ -305,7 +305,7 @@ func TestAnalyzeReport(t *testing.T) {
 	col.Block(900, true)
 	col.Block(100, false)
 	col.Transitions = 5
-	rep := Analyze(cache, col, core.ProfileStats{CountersHighWater: 3, ObservedBytesHighWater: 40})
+	rep := new(Analyzer).Analyze(cache, col, core.ProfileStats{CountersHighWater: 3, ObservedBytesHighWater: 40})
 	if rep.HitRate != 0.9 || rep.Regions != 1 || rep.CodeExpansion != 4 {
 		t.Errorf("report = %+v", rep)
 	}

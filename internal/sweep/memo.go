@@ -6,9 +6,11 @@
 // keyed by program content: the first run of a program records it live
 // with a tracestream.MemRecorder tapped off the VM (dynopt.Config.Tap), and
 // every later run of it replays the recorded arena (Corpus.Replay). Grid
-// cells and Runner.Simulate callers (the experiments harness) take that
-// one step (simulate). A trace:<path> file is the same object read from
-// disk, and takes the same store with a decode in place of the recording.
+// cells — every cmd/sweep, sweepd and papertables run, the report-only
+// extension studies included — and Runner.Simulate callers (the extension
+// studies that read a run's Cache or Collector) take that one step
+// (simulate). A trace:<path> file is the same object read from disk, and
+// takes the same store with a decode in place of the recording.
 // Memoization changes how jobs execute, never what they report
 // (TestSweepMemoMatchesOff pins the jsonl byte-identity).
 package sweep

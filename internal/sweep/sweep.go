@@ -12,7 +12,7 @@
 // slots, so a shard's steady-state job loop performs zero heap allocations
 // (enforced by TestShardSteadyStateAllocFree). Shards are process-wide:
 // every run acquires them from one idle list and returns them to it, so the
-// throwaway Runner of each Run or RunGrid call starts with warm shards.
+// throwaway Runner of each RunGrid call starts with warm shards.
 package sweep
 
 import (
@@ -380,22 +380,6 @@ func (r *Runner) MemoStats() MemoStats {
 	return st.Stats()
 }
 
-// jobSource is random access into a job enumeration; it lets the engine run
-// an index range of a grid nobody ever materializes.
-type jobSource interface {
-	at(i int) Job
-}
-
-// sliceJobs adapts an explicit job list.
-type sliceJobs []Job
-
-func (s sliceJobs) at(i int) Job { return s[i] }
-
-// gridJobs enumerates a grid's cells on demand.
-type gridJobs struct{ g Grid }
-
-func (s gridJobs) at(i int) Job { return s.g.JobAt(i) }
-
 // queue is one shard's contiguous range of pending job indices. The owner
 // pops from the bottom; thieves split off the top half.
 type queue struct {
@@ -444,7 +428,7 @@ func (q *queue) refill(lo, hi int) {
 type engine struct {
 	ctx    context.Context
 	cancel context.CancelFunc
-	src    jobSource
+	grid   Grid
 	queues []*queue
 	runner *Runner
 	store  *tracestream.Store
@@ -455,31 +439,20 @@ type engine struct {
 	errs []error
 }
 
-// Run executes jobs across opts.Shards worker shards with a throwaway
-// Runner, streaming results to sink in job-index order. It fails fast: the
-// first job error (or a cancellation of ctx) stops the whole grid, dropping
-// undelivered results, and every error observed before the stop is
-// aggregated with errors.Join in deterministic order.
-func Run(ctx context.Context, jobs []Job, opts Options, sink ResultSink) error {
-	return NewRunner().Run(ctx, jobs, opts, sink)
-}
-
-// RunGrid is Run over a grid's enumeration.
+// RunGrid executes the grid's cells across opts.Shards worker shards with a
+// throwaway Runner, streaming results to sink in grid-enumeration order.
 func RunGrid(ctx context.Context, g Grid, opts Options, sink ResultSink) error {
 	return NewRunner().RunGrid(ctx, g, opts, sink)
 }
 
-// Run executes jobs with the runner's pooled state, streaming results to
-// sink in job-index order with the fail-fast semantics of the package-level
-// Run.
-func (r *Runner) Run(ctx context.Context, jobs []Job, opts Options, sink ResultSink) error {
-	return r.run(ctx, sliceJobs(jobs), 0, len(jobs), opts, sink)
-}
-
-// RunGrid is Run over a grid's enumeration, walked by index rather than
-// materialized.
+// RunGrid executes the grid's cells with the runner's pooled state,
+// walking the enumeration by index rather than materializing it, and
+// streams results to sink in grid-enumeration order. It fails fast: the
+// first job error (or a cancellation of ctx) stops the whole grid, dropping
+// undelivered results, and every error observed before the stop is
+// aggregated with errors.Join in deterministic order.
 func (r *Runner) RunGrid(ctx context.Context, g Grid, opts Options, sink ResultSink) error {
-	return r.run(ctx, gridJobs{g}, 0, g.NumJobs(), opts, sink)
+	return r.run(ctx, g, 0, g.NumJobs(), opts, sink)
 }
 
 // RunRange executes cells [lo, hi) of the grid's enumeration. Results carry
@@ -490,10 +463,10 @@ func (r *Runner) RunRange(ctx context.Context, g Grid, lo, hi int, opts Options,
 	if n := g.NumJobs(); lo < 0 || hi > n || lo > hi {
 		return fmt.Errorf("sweep: range [%d,%d) outside grid of %d jobs", lo, hi, n)
 	}
-	return r.run(ctx, gridJobs{g}, lo, hi, opts, sink)
+	return r.run(ctx, g, lo, hi, opts, sink)
 }
 
-func (r *Runner) run(ctx context.Context, src jobSource, lo, hi int, opts Options, sink ResultSink) error {
+func (r *Runner) run(ctx context.Context, g Grid, lo, hi int, opts Options, sink ResultSink) error {
 	n := hi - lo
 	if n == 0 {
 		return ctx.Err()
@@ -517,7 +490,7 @@ func (r *Runner) run(ctx context.Context, src jobSource, lo, hi int, opts Option
 	e := &engine{
 		ctx:    runCtx,
 		cancel: cancel,
-		src:    src,
+		grid:   g,
 		queues: make([]*queue, shards),
 		runner: r,
 		store:  r.ensureStore(opts.MemoBudgetBytes),
@@ -613,7 +586,7 @@ func (e *engine) stealLargest(id int) (lo, hi int, ok bool) {
 
 //lint:hotpath per-job engine loop
 func (e *engine) process(i int, shard *Shard) {
-	job := e.src.at(i)
+	job := e.grid.JobAt(i)
 	run, err := e.runner.progs.get(job.Workload, job.Scale)
 	if err != nil {
 		e.fail(err)

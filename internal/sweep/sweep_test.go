@@ -52,7 +52,7 @@ func TestSweepOrderedAndIdentical(t *testing.T) {
 	g := testGrid()
 	jobs := g.Jobs()
 	var sink CollectSink
-	if err := Run(context.Background(), jobs, Options{Shards: 4, Window: 3}, &sink); err != nil {
+	if err := RunGrid(context.Background(), g, Options{Shards: 4, Window: 3}, &sink); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.Results) != len(jobs) {
@@ -120,10 +120,10 @@ func TestShardReuseAcrossParams(t *testing.T) {
 // after the failure is delivered out of order).
 func TestSweepFailFast(t *testing.T) {
 	g := testGrid()
+	g.Workloads = append([]string{g.Workloads[0], "no-such-workload"}, g.Workloads[1:]...)
 	jobs := g.Jobs()
-	jobs[5].Workload = "no-such-workload"
 	var sink CollectSink
-	err := Run(context.Background(), jobs, Options{Shards: 4}, &sink)
+	err := RunGrid(context.Background(), g, Options{Shards: 4}, &sink)
 	if err == nil {
 		t.Fatal("sweep with a broken cell reported no error")
 	}
@@ -141,11 +141,10 @@ func TestSweepFailFast(t *testing.T) {
 // the engine stops early and reports the cancellation.
 func TestSweepCancellation(t *testing.T) {
 	g := testGrid()
-	jobs := g.Jobs()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	delivered := 0
-	err := Run(ctx, jobs, Options{Shards: 4}, FuncSink(func(r Result) {
+	err := RunGrid(ctx, g, Options{Shards: 4}, FuncSink(func(r Result) {
 		delivered++
 		if delivered == 3 {
 			cancel()
@@ -154,7 +153,7 @@ func TestSweepCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if delivered >= len(jobs) {
+	if delivered >= g.NumJobs() {
 		t.Fatalf("all %d results delivered despite cancellation", delivered)
 	}
 }

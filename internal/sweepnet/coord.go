@@ -17,31 +17,25 @@ type Options struct {
 	// Chunk is the number of jobs per assigned range. <=0 picks a size
 	// from the grid and worker count.
 	Chunk int
-	// Inflight is how many ranges one worker may hold at once (the second
-	// range hides assignment latency behind execution). <=0 means 2.
-	Inflight int
-	// HeartbeatTimeout declares a worker dead when nothing — results,
-	// range completions, heartbeats — arrives on its connection for this
-	// long. <=0 means 10s.
-	HeartbeatTimeout time.Duration
-	// Retries is how many times one range may be reassigned after worker
-	// failures before the run fails. <=0 means 3.
-	Retries int
 	// Dial overrides the TCP dialer (tests inject failing or proxied
 	// connections). nil means net.Dialer.DialContext.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
+const (
+	// inflight is how many ranges one worker may hold at once (the second
+	// range hides assignment latency behind execution).
+	inflight = 2
+	// heartbeatTimeout declares a worker dead when nothing — results,
+	// range completions, heartbeats — arrives on its connection for this
+	// long.
+	heartbeatTimeout = 10 * time.Second
+	// retries is how many times one range may be reassigned after worker
+	// failures before the run fails.
+	retries = 3
+)
+
 func (o Options) withDefaults() Options {
-	if o.Inflight <= 0 {
-		o.Inflight = 2
-	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 10 * time.Second
-	}
-	if o.Retries <= 0 {
-		o.Retries = 3
-	}
 	if o.Dial == nil {
 		var d net.Dialer
 		o.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
@@ -93,8 +87,8 @@ type coordinator struct {
 // byte-identical to a local sweep.RunGrid over the same grid: results are
 // delivered exactly once, in order, with jobs rebuilt from their indices.
 // Worker failures mid-run reassign the unfinished remainder of their ranges
-// (bounded by Options.Retries); job errors and context cancellation fail
-// fast, and every error observed before the stop is aggregated with
+// (at most retries times per range); job errors and context cancellation
+// fail fast, and every error observed before the stop is aggregated with
 // errors.Join in deterministic order.
 func RunGrid(ctx context.Context, addrs []string, g sweep.Grid, opts Options, sink sweep.ResultSink) error {
 	njobs := g.NumJobs()
@@ -117,7 +111,7 @@ func RunGrid(ctx context.Context, addrs []string, g sweep.Grid, opts Options, si
 	}
 	// The reorder window merging worker result streams, in jobs. Admission
 	// control requires a whole range to fit it; see nextRange.
-	window := max(2*chunk*len(addrs)*opts.Inflight, chunk)
+	window := max(2*chunk*len(addrs)*inflight, chunk)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -287,7 +281,7 @@ func (w *workerConn) session(ctx context.Context) error {
 
 // handshake validates the worker's hello and ships the grid.
 func (w *workerConn) handshake() error {
-	w.conn.SetReadDeadline(time.Now().Add(w.c.opts.HeartbeatTimeout))
+	w.conn.SetReadDeadline(time.Now().Add(heartbeatTimeout))
 	t, r, err := w.fr.next()
 	if err != nil {
 		return fmt.Errorf("sweepnet: %s: reading hello: %w", w.addr, err)
@@ -347,12 +341,12 @@ func (w *workerConn) nextRange() (*assignment, bool) {
 			return nil, false
 		}
 		w.mu.Lock()
-		dead, inflight := w.dead, len(w.assigned)
+		dead, held := w.dead, len(w.assigned)
 		w.mu.Unlock()
 		if dead {
 			return nil, false
 		}
-		if len(c.pending) > 0 && inflight < c.opts.Inflight &&
+		if len(c.pending) > 0 && held < inflight &&
 			c.pending[0].hi-c.ord.Next() <= c.window {
 			r := c.pending[0]
 			c.pending = c.pending[1:]
@@ -367,11 +361,11 @@ func (w *workerConn) nextRange() (*assignment, bool) {
 }
 
 // readLoop consumes worker frames until the run ends or the connection
-// dies. A read deadline of HeartbeatTimeout bounds silence: the worker
+// dies. A read deadline of heartbeatTimeout bounds silence: the worker
 // heartbeats much more often, so a timeout means the worker is gone.
 func (w *workerConn) readLoop(ctx context.Context) error {
 	for {
-		w.conn.SetReadDeadline(time.Now().Add(w.c.opts.HeartbeatTimeout))
+		w.conn.SetReadDeadline(time.Now().Add(heartbeatTimeout))
 		t, r, err := w.fr.next()
 		if err != nil {
 			if ctx.Err() != nil || w.c.isFinished() {
@@ -491,7 +485,7 @@ func (w *workerConn) assignmentFor(idx int) *assignment {
 // after its connection died. Delivered results stay delivered — the
 // replacement worker resumes each range at its watermark — so the merged
 // output is unchanged by the failure. A range reassigned more than
-// Options.Retries times fails the run, as does losing the last worker.
+// retries times fails the run, as does losing the last worker.
 func (w *workerConn) abandon(ctx context.Context, sessionErr error) {
 	w.mu.Lock()
 	assigned := w.assigned
@@ -511,7 +505,7 @@ func (w *workerConn) abandon(ctx context.Context, sessionErr error) {
 			continue
 		}
 		r := jobRange{lo: a.watermark, hi: a.hi, attempts: a.attempts + 1}
-		if r.attempts > c.opts.Retries {
+		if r.attempts > retries {
 			c.fail(fmt.Errorf("sweepnet: range [%d,%d) failed %d times (last: %w)", r.lo, r.hi, r.attempts, sessionErr))
 			return
 		}

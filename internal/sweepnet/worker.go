@@ -19,11 +19,8 @@ type ServerOptions struct {
 	Shards int
 	// Heartbeat is how often the worker proves liveness while a range is
 	// executing. <=0 means 2s; it must stay well under the coordinator's
-	// HeartbeatTimeout.
+	// heartbeat timeout (10s).
 	Heartbeat time.Duration
-	// BatchResults is how many results accumulate before a frameResults
-	// flush. <=0 means 64.
-	BatchResults int
 	// Memo switches the local engine's record-once/replay-many trace
 	// memoization (default on — sweep.MemoOn is the zero value).
 	// Memoization only changes how the worker executes jobs, never their
@@ -48,15 +45,18 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 2 * time.Second
 	}
-	if o.BatchResults <= 0 {
-		o.BatchResults = 64
-	}
 	return o
 }
 
-// batchBytes flushes a result batch early once its payload reaches this
-// size, bounding frame memory on both ends independent of BatchResults.
-const batchBytes = 32 << 10
+const (
+	// batchResults is how many results accumulate before a frameResults
+	// flush.
+	batchResults = 64
+	// batchBytes flushes a result batch early once its payload reaches
+	// this size, bounding frame memory on both ends independent of
+	// batchResults.
+	batchBytes = 32 << 10
+)
 
 // Serve accepts coordinator connections on ln until ctx is cancelled, then
 // drains gracefully: the listener closes immediately, every session finishes
@@ -350,7 +350,7 @@ type resultStream struct {
 func (rs *resultStream) Deliver(r sweep.Result) {
 	encodeResult(&rs.buf, r.Index, &r.Report)
 	rs.n++
-	if rs.n >= rs.s.opts.BatchResults || len(rs.buf.b) >= batchBytes {
+	if rs.n >= batchResults || len(rs.buf.b) >= batchBytes {
 		rs.s.wmu.Lock()
 		rs.flushLocked()
 		rs.s.wmu.Unlock()

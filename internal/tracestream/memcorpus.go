@@ -9,9 +9,10 @@ import (
 // in-memory []vm.BlockEvent arena — no varint encoding, no disk round-trip,
 // no decode on replay. It implements vm.BlockSink, so it taps a live run via
 // dynopt's Config.Tap exactly like Recorder; Corpus then seals the arena
-// into a replay-ready MemCorpus whose events feed dynopt.RunEvents as-is.
-// The sweep engine's memoization layer (internal/sweep) records each
-// program once this way and replays it for every other run of the program.
+// into a replay-ready MemCorpus, whose Corpus.Replay drives the simulator
+// from the events without running the VM. The sweep engine's memoization
+// layer (internal/sweep) records each program once this way and replays it
+// for every other run of the program.
 // A recorder is reusable: Reset starts a fresh take into the same arena, so
 // a long-lived recorder (one per sweep shard) records a cell without
 // growing its arena again.

@@ -17,7 +17,9 @@
 # cmd/tracerec, a CLI smoke run (regionsim's trace:<path> replay diffed
 # against the live run it recorded, a two-selector regionsim run diffed
 # against the two single-selector runs, and traceviz on asm:<path> and
-# trace:<path> references), a distributed smoke run (two loopback sweepd workers,
+# trace:<path> references), a papertables smoke run (-sweeps -markdown
+# diffed against both golden files, pinning the CLI's one shared Runner
+# for the extension studies), a distributed smoke run (two loopback sweepd workers,
 # jsonl output diffed against the local run — docs/SWEEPD.md — so
 # remote adaptive and trace-replay runs must be byte-identical; worker
 # logs are dumped when the diff fails; the local run is additionally
@@ -95,6 +97,18 @@ diff "$workdir/singles.txt" "$workdir/both-reports.txt" || {
 "$workdir/traceviz" -workload asm:examples/programs/spin.asm >/dev/null
 "$workdir/traceviz" -workload "trace:$workdir/gzip.trace" >/dev/null
 echo "CLI references agree"
+
+echo "== papertables smoke: -sweeps -markdown against both golden files =="
+# papertables builds every extension study on one shared Runner; its
+# output must equal the paper figures, one blank line, then the extension
+# figures, as the two golden files pin them.
+go run ./cmd/papertables -sweeps -markdown >"$workdir/papertables.md"
+{ cat internal/experiments/testdata/paper.golden.md; echo; cat internal/experiments/testdata/extras.golden.md; } >"$workdir/golden.md"
+diff "$workdir/golden.md" "$workdir/papertables.md" || {
+    echo "check.sh: papertables -sweeps -markdown differs from the golden files"
+    exit 1
+}
+echo "papertables output matches the golden files"
 
 echo "== distributed smoke run: 2 loopback sweepd workers, jsonl diff =="
 # The trace:<path> cell rides along: loopback workers share this
