@@ -626,11 +626,14 @@ func BenchmarkCombine(b *testing.B) {
 // end on the grid shape it exists for — a threshold-search axis like
 // ROADMAP direction 1's closed-loop optimizer sweeps: many parameter
 // points over few cells, so every (workload, scale) recording is shared by
-// selectors × points jobs. memo=off interprets all of them live; memo=on
-// pays one recorded live run per cell (a fresh Runner per iteration keeps
-// that cost in the measurement) and replays the rest from the in-memory
-// corpus. Both modes run on shards warm from the process-wide pool, so
-// neither pays for a fresh VM memory image per iteration. The jobs/s ratio between the two sub-benchmarks is the
+// selectors × points jobs. memo=rejected runs the grid under a one-byte
+// corpus budget: the store rejects each cell's first recording, so every
+// job interprets live — the live reference the sweep engine keeps for
+// tests and CI. memo=on pays one recorded live run per cell (a fresh
+// Runner per iteration keeps that cost in the measurement) and replays the
+// rest from the in-memory corpus. Both run on shards warm from the
+// process-wide pool, so neither pays for a fresh VM memory image per
+// iteration. The jobs/s ratio between the two sub-benchmarks is the
 // memoization speedup claimed in docs/PERFORMANCE.md — it grows with
 // jobs-per-cell and with the live/replay cost ratio of the workload
 // (interpretation-heavy cells like bzip2 and mcf replay ~4× cheaper;
@@ -653,14 +656,14 @@ func BenchmarkSweepMemo(b *testing.B) {
 	}
 	njobs := grid.NumJobs()
 	for _, mode := range []struct {
-		name string
-		m    sweep.MemoMode
-	}{{"off", sweep.MemoOff}, {"on", sweep.MemoOn}} {
+		name   string
+		budget int64
+	}{{"rejected", 1}, {"on", 0}} {
 		b.Run("memo="+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var sink sweep.CountingSink
 				r := sweep.NewRunner()
-				if err := r.RunGrid(context.Background(), grid, sweep.Options{Shards: 1, Memo: mode.m}, &sink); err != nil {
+				if err := r.RunGrid(context.Background(), grid, sweep.Options{Shards: 1, MemoBudgetBytes: mode.budget}, &sink); err != nil {
 					b.Fatal(err)
 				}
 				if sink.N != njobs {

@@ -25,9 +25,8 @@
 // Grids memoize by default (docs/PERFORMANCE.md): the first job running a
 // program records the VM's branch-event stream in memory and every other
 // job of the same program replays it, so multi-point parameter axes run
-// severalfold faster with byte-identical output. -memo=off forces every job
-// live; -v prints the memo hit/miss/evict/fallback counters to stderr. Like
-// -shards, -memo is a worker-side setting in remote mode (sweepd -memo).
+// severalfold faster with byte-identical output; -v prints the memo
+// hit/miss/evict/fallback counters to stderr.
 package main
 
 import (
@@ -55,7 +54,6 @@ func main() {
 	shards := flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 	sinkName := flag.String("sink", "table", "output format: table, csv, jsonl, or none")
 	remote := flag.String("remote", "", "comma-separated sweepd worker addresses; empty = run in-process")
-	memo := flag.String("memo", "on", "record-once/replay-many trace memoization (on|off); output is byte-identical either way")
 	verbose := flag.Bool("v", false, "print run statistics (memo counters) to stderr")
 	list := flag.Bool("list", false, "list grid keys, workloads, and selectors, then exit")
 	flag.Parse()
@@ -65,10 +63,6 @@ func main() {
 		return
 	}
 	grid, err := parseGrid(*gridSpec)
-	if err != nil {
-		fail(err)
-	}
-	memoMode, err := sweep.ParseMemoMode(*memo)
 	if err != nil {
 		fail(err)
 	}
@@ -82,9 +76,6 @@ func main() {
 		if *shards != 0 {
 			fmt.Fprintln(os.Stderr, "sweep: warning: -shards has no effect with -remote; sharding is a worker-side setting (sweepd -shards)")
 		}
-		if memoMode != sweep.MemoOn {
-			fmt.Fprintln(os.Stderr, "sweep: warning: -memo has no effect with -remote; memoization is a worker-side setting (sweepd -memo)")
-		}
 		addrs := strings.Split(*remote, ",")
 		for i, a := range addrs {
 			addrs[i] = strings.TrimSpace(a)
@@ -92,7 +83,7 @@ func main() {
 		err = sweepnet.RunGrid(ctx, addrs, grid, sweepnet.Options{}, sink)
 	} else {
 		runner := sweep.NewRunner()
-		err = runner.RunGrid(ctx, grid, sweep.Options{Shards: *shards, Memo: memoMode}, sink)
+		err = runner.RunGrid(ctx, grid, sweep.Options{Shards: *shards}, sink)
 		if *verbose {
 			fmt.Fprintln(os.Stderr, "sweep: memo", runner.MemoStats())
 		}

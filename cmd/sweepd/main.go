@@ -28,14 +28,8 @@ import (
 func main() {
 	listen := flag.String("listen", ":7543", "TCP listen address (host:port; port 0 picks a free port)")
 	shards := flag.Int("shards", 0, "engine shards per range (0 = GOMAXPROCS)")
-	memo := flag.String("memo", "on", "record-once/replay-many trace memoization (on|off); output is byte-identical either way")
 	memoBudget := flag.Int64("memobudget", 0, "resident corpus budget in bytes, memo recordings and decoded trace files alike (0 = engine default)")
 	flag.Parse()
-	mode, err := sweep.ParseMemoMode(*memo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweepd:", err)
-		os.Exit(1)
-	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -51,7 +45,6 @@ func main() {
 	runner := sweep.NewRunner()
 	err = sweepnet.Serve(ctx, ln, sweepnet.ServerOptions{
 		Shards:          *shards,
-		Memo:            mode,
 		MemoBudgetBytes: *memoBudget,
 		Runner:          runner,
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
@@ -64,55 +65,32 @@ func BuildExtra(r *sweep.Runner, id string, scale int) (Figure, error) {
 }
 
 // runSuite runs every SPEC benchmark under one selector configuration and
-// returns per-benchmark reports keyed by benchmark name.
-func runSuite(r *sweep.Runner, sel string, scale int, params core.Params) (map[string]metricsByBench, error) {
-	benches := workloads.SpecNames()
-	reps, err := runGrid(r, sweep.Grid{
-		Workloads: benches,
+// returns the per-benchmark reports in workloads.SpecNames order.
+func runSuite(r *sweep.Runner, sel string, scale int, params core.Params) ([]metrics.Report, error) {
+	return runGrid(r, sweep.Grid{
+		Workloads: workloads.SpecNames(),
 		Scale:     scale,
 		Selectors: []string{sel},
 		Configs:   []sweep.Config{{Params: params}},
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]metricsByBench, len(benches))
-	for i, b := range benches {
-		rep := reps[i]
-		out[b] = metricsByBench{
-			Transitions: float64(rep.Transitions),
-			Cover90:     float64(rep.CoverSet90),
-			Expansion:   float64(rep.CodeExpansion),
-			Stubs:       float64(rep.Stubs),
-			Spanned:     rep.SpannedRatio,
-			HitRate:     rep.HitRate,
-			DupRatio:    rep.ExitDomDupInstrsRatio,
-			Observed:    float64(rep.ObservedBytesHighWater),
-		}
-	}
-	return out, nil
 }
 
-type metricsByBench struct {
-	Transitions, Cover90, Expansion, Stubs, Spanned, HitRate, DupRatio, Observed float64
-}
-
-// relAvg averages the per-benchmark ratio of a metric between two suites.
-// Like suiteAvg it sums in workloads.SpecNames order, not map order, so the
-// same suites always give the same float64.
-func relAvg(num, den map[string]metricsByBench, f func(metricsByBench) float64) float64 {
-	var xs []float64
-	for _, b := range workloads.SpecNames() {
-		xs = append(xs, stats.Ratio(f(num[b]), f(den[b])))
+// relAvg averages the per-benchmark ratio of a metric between two suites
+// from runSuite. Both suites are in the same benchmark order, and the sum
+// follows it, so the same suites always give the same float64.
+func relAvg(num, den []metrics.Report, f func(metrics.Report) float64) float64 {
+	xs := make([]float64, len(num))
+	for i := range num {
+		xs[i] = stats.Ratio(f(num[i]), f(den[i]))
 	}
 	return stats.Mean(xs)
 }
 
 // suiteAvg averages a metric over a suite's benchmarks.
-func suiteAvg(m map[string]metricsByBench, f func(metricsByBench) float64) float64 {
-	var xs []float64
-	for _, b := range workloads.SpecNames() {
-		xs = append(xs, f(m[b]))
+func suiteAvg(m []metrics.Report, f func(metrics.Report) float64) float64 {
+	xs := make([]float64, len(m))
+	for i := range m {
+		xs[i] = f(m[i])
 	}
 	return stats.Mean(xs)
 }
@@ -134,10 +112,10 @@ func SweepTProf(r *sweep.Runner, scale int) (Figure, error) {
 			return Figure{}, err
 		}
 		t.Add(fmt.Sprintf("Tprof=%d Tmin=%d", cfg.tprof, cfg.tmin),
-			relAvg(comb, base, func(m metricsByBench) float64 { return m.Transitions }),
-			relAvg(comb, base, func(m metricsByBench) float64 { return m.Cover90 }),
-			relAvg(comb, base, func(m metricsByBench) float64 { return m.Stubs }),
-			suiteAvg(comb, func(m metricsByBench) float64 { return m.Observed }))
+			relAvg(comb, base, func(m metrics.Report) float64 { return float64(m.Transitions) }),
+			relAvg(comb, base, func(m metrics.Report) float64 { return float64(m.CoverSet90) }),
+			relAvg(comb, base, func(m metrics.Report) float64 { return float64(m.Stubs) }),
+			suiteAvg(comb, func(m metrics.Report) float64 { return float64(m.ObservedBytesHighWater) }))
 	}
 	return Figure{
 		ID:    "sweep-tprof",
@@ -161,10 +139,10 @@ func SweepHistoryCap(r *sweep.Runner, scale int) (Figure, error) {
 			return Figure{}, err
 		}
 		t.Add(fmt.Sprintf("cap=%d", cap),
-			100*suiteAvg(m, func(m metricsByBench) float64 { return m.Spanned }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Transitions }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Cover90 }),
-			100*suiteAvg(m, func(m metricsByBench) float64 { return m.HitRate }))
+			100*suiteAvg(m, func(m metrics.Report) float64 { return m.SpannedRatio }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.Transitions) }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.CoverSet90) }),
+			100*suiteAvg(m, func(m metrics.Report) float64 { return m.HitRate }))
 	}
 	return Figure{
 		ID:    "sweep-buffer",
@@ -200,10 +178,10 @@ func SweepThresholds(r *sweep.Runner, scale int) (Figure, error) {
 			return Figure{}, err
 		}
 		t.Add(row.name,
-			100*suiteAvg(m, func(m metricsByBench) float64 { return m.HitRate }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Expansion }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Cover90 }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Transitions }))
+			100*suiteAvg(m, func(m metrics.Report) float64 { return m.HitRate }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.CodeExpansion) }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.CoverSet90) }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.Transitions) }))
 	}
 	return Figure{
 		ID:    "sweep-threshold",
@@ -225,12 +203,12 @@ func Ablations(r *sweep.Runner, scale int) (Figure, error) {
 			return err
 		}
 		t.Add(name,
-			100*suiteAvg(m, func(m metricsByBench) float64 { return m.HitRate }),
-			100*suiteAvg(m, func(m metricsByBench) float64 { return m.Spanned }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Transitions }),
-			100*suiteAvg(m, func(m metricsByBench) float64 { return m.DupRatio }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Expansion }),
-			suiteAvg(m, func(m metricsByBench) float64 { return m.Cover90 }))
+			100*suiteAvg(m, func(m metrics.Report) float64 { return m.HitRate }),
+			100*suiteAvg(m, func(m metrics.Report) float64 { return m.SpannedRatio }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.Transitions) }),
+			100*suiteAvg(m, func(m metrics.Report) float64 { return m.ExitDomDupInstrsRatio }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.CodeExpansion) }),
+			suiteAvg(m, func(m metrics.Report) float64 { return float64(m.CoverSet90) }))
 		return nil
 	}
 	if err := add("lei", LEI, core.DefaultParams()); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/icache"
+	"repro/internal/metrics"
 	"repro/internal/sweep"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -134,16 +135,16 @@ func TestSweepTProfFootnote8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coverFull := relAvg(combFull, baseLEI, func(m metricsByBench) float64 { return m.Cover90 })
-	coverSmall := relAvg(combSmall, baseLEI, func(m metricsByBench) float64 { return m.Cover90 })
+	coverFull := relAvg(combFull, baseLEI, func(m metrics.Report) float64 { return float64(m.CoverSet90) })
+	coverSmall := relAvg(combSmall, baseLEI, func(m metrics.Report) float64 { return float64(m.CoverSet90) })
 	if coverSmall >= 1.0 {
 		t.Errorf("T_prof=5 combination no longer improves cover sets: %.3f", coverSmall)
 	}
 	if coverFull > coverSmall {
 		t.Logf("full config improves more, as expected: %.3f vs %.3f", coverFull, coverSmall)
 	}
-	obsFull := suiteAvg(combFull, func(m metricsByBench) float64 { return m.Observed })
-	obsSmall := suiteAvg(combSmall, func(m metricsByBench) float64 { return m.Observed })
+	obsFull := suiteAvg(combFull, func(m metrics.Report) float64 { return float64(m.ObservedBytesHighWater) })
+	obsSmall := suiteAvg(combSmall, func(m metrics.Report) float64 { return float64(m.ObservedBytesHighWater) })
 	if obsSmall >= obsFull {
 		t.Errorf("smaller T_prof did not reduce observation memory: %.0f vs %.0f", obsSmall, obsFull)
 	}
@@ -151,20 +152,20 @@ func TestSweepTProfFootnote8(t *testing.T) {
 
 // TestSuiteAveragesBitIdentical requires relAvg and suiteAvg to return the
 // same float64, bit for bit, on every call over the same suites. The values
-// span many magnitudes, so a sum whose order followed map iteration would
-// round differently from call to call.
+// span many magnitudes, so a sum whose order varied from call to call would
+// round differently.
 func TestSuiteAveragesBitIdentical(t *testing.T) {
-	num := map[string]metricsByBench{}
-	den := map[string]metricsByBench{}
-	for i, b := range workloads.SpecNames() {
-		num[b] = metricsByBench{Transitions: math.Pow(10, float64(i)) / 3}
-		den[b] = metricsByBench{Transitions: float64(1 + i%2)}
+	n := len(workloads.SpecNames())
+	num, den := make([]metrics.Report, n), make([]metrics.Report, n)
+	for i := range n {
+		num[i].HitRate = math.Pow(10, float64(i)) / 3
+		den[i].HitRate = float64(1 + i%2)
 	}
-	transitions := func(m metricsByBench) float64 { return m.Transitions }
+	hitRate := func(m metrics.Report) float64 { return m.HitRate }
 	rel, avg := map[uint64]bool{}, map[uint64]bool{}
 	for range 200 {
-		rel[math.Float64bits(relAvg(num, den, transitions))] = true
-		avg[math.Float64bits(suiteAvg(num, transitions))] = true
+		rel[math.Float64bits(relAvg(num, den, hitRate))] = true
+		avg[math.Float64bits(suiteAvg(num, hitRate))] = true
 	}
 	if len(rel) != 1 || len(avg) != 1 {
 		t.Errorf("200 calls gave %d distinct relAvg and %d distinct suiteAvg results, want 1 each", len(rel), len(avg))
@@ -212,10 +213,10 @@ func TestAblationNETBackwardStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expBase := suiteAvg(mb, func(m metricsByBench) float64 { return m.Expansion })
-	expCross := suiteAvg(mc, func(m metricsByBench) float64 { return m.Expansion })
-	transBase := suiteAvg(mb, func(m metricsByBench) float64 { return m.Transitions })
-	transCross := suiteAvg(mc, func(m metricsByBench) float64 { return m.Transitions })
+	expBase := suiteAvg(mb, func(m metrics.Report) float64 { return float64(m.CodeExpansion) })
+	expCross := suiteAvg(mc, func(m metrics.Report) float64 { return float64(m.CodeExpansion) })
+	transBase := suiteAvg(mb, func(m metrics.Report) float64 { return float64(m.Transitions) })
+	transCross := suiteAvg(mc, func(m metrics.Report) float64 { return float64(m.Transitions) })
 	if expCross <= expBase {
 		t.Errorf("crossing NET expansion %.1f not above base %.1f", expCross, expBase)
 	}

@@ -96,16 +96,6 @@ func (p *Program) computeIndexes() {
 	}
 }
 
-// MustNew is New, panicking on error. Intended for statically known-good
-// workload definitions.
-func MustNew(instrs []isa.Instr, funcs []Function, labels map[string]isa.Addr) *Program {
-	p, err := New(instrs, funcs, labels)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // computeBlocks finds basic-block leaders: the entry point, every direct
 // branch target, and every instruction following a block-ending instruction.
 // Indirect branch targets are discovered conservatively: any function entry
@@ -205,10 +195,6 @@ func (p *Program) FuncAt(addr isa.Addr) (Function, bool) {
 	}
 	return p.funcs[i], true
 }
-
-// LabelsAt returns the label names attached to addr, sorted; the returned
-// slice must not be modified.
-func (p *Program) LabelsAt(addr isa.Addr) []string { return p.labelsAt[addr] }
 
 // Label resolves a label name.
 func (p *Program) Label(name string) (isa.Addr, bool) {

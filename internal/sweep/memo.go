@@ -11,13 +11,14 @@
 // studies that read a run's Cache or Collector) take that one step
 // (simulate). A trace:<path> file is the same object read from disk, and
 // takes the same store with a decode in place of the recording.
-// Memoization changes how jobs execute, never what they report
-// (TestSweepMemoMatchesOff pins the jsonl byte-identity).
+// Memoization changes how jobs execute, never what they report. The live
+// reference is a one-byte budget (Options.MemoBudgetBytes = 1): the store
+// rejects every cell's first recording, so every job of the grid runs a
+// live dynopt.Run (TestSweepMemoMatchesOff pins the byte-identity).
 package sweep
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
@@ -25,33 +26,6 @@ import (
 	"repro/internal/tracestream"
 	"repro/internal/vm"
 )
-
-// MemoMode switches trace memoization. The zero value is MemoOn: callers
-// using Options{} — the experiments harness, sweepd workers, cmd/sweep —
-// memoize by default and opt out explicitly.
-type MemoMode int
-
-const (
-	// MemoOn records each program's event stream on first touch and
-	// replays it for every subsequent job that runs the same program.
-	MemoOn MemoMode = iota
-	// MemoOff runs every registered-workload job live — the escape hatch
-	// (cmd/sweep -memo=off) and the differential baseline. Trace files
-	// still go through the store.
-	MemoOff
-)
-
-// ParseMemoMode parses a CLI memoization switch: "on" or "off"
-// (cmd/sweep -memo, cmd/sweepd -memo).
-func ParseMemoMode(s string) (MemoMode, error) {
-	switch s {
-	case "on":
-		return MemoOn, nil
-	case "off":
-		return MemoOff, nil
-	}
-	return MemoOn, fmt.Errorf("bad memo mode %q (want on or off)", s)
-}
 
 // DefaultMemoBudgetBytes bounds resident corpora — memo recordings and
 // decoded trace files alike — when Options.MemoBudgetBytes is zero:
@@ -68,27 +42,25 @@ const DefaultMemoBudgetBytes = 256 << 20
 type MemoStats = tracestream.StoreStats
 
 // dispatch is the engine's one job path. A trace file replays when the
-// store holds its corpus and otherwise goes to Miss; a cell takes the
-// record-or-replay step (simulate); under MemoOff a cell runs live. The hit
-// paths — a store lookup and a replay — are the steady state of a memoized
-// grid and perform zero heap allocations (TestShardMemoAllocFree).
+// store holds its corpus and otherwise goes to Miss; every cell takes the
+// record-or-replay step (simulate), and runs live only when the store
+// cannot hold its corpus. The hit paths — a store lookup and a replay —
+// are the steady state of a memoized grid and perform zero heap
+// allocations (TestShardMemoAllocFree).
 //
 //lint:hotpath memoized replay dispatch (TestShardMemoAllocFree)
 func (e *engine) dispatch(shard *Shard, run runnable, job Job) (metrics.Report, error) {
-	switch {
-	case run.path != "":
+	if run.path != "" {
 		if c := e.store.Get(run.key); c != nil {
 			return shard.Replay(c, job)
 		}
 		return e.Miss(shard, run, job)
-	case e.memo:
-		cfg, err := shard.config(job)
-		if err != nil {
-			return metrics.Report{}, err
-		}
-		return job.report(simulate(e.store, run.key, run.prog, cfg, &shard.rec))
 	}
-	return shard.Run(run.prog, job)
+	cfg, err := shard.config(job)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	return job.report(simulate(e.store, run.key, run.prog, cfg, &shard.rec))
 }
 
 // Miss runs a trace-file job whose corpus is not resident: the shard that

@@ -78,7 +78,7 @@ func diffMemoRuns(t *testing.T, off, on []Result) {
 	t.Helper()
 	for i := range off {
 		if got, want := memoJSON(t, on[i].Report), memoJSON(t, off[i].Report); got != want {
-			t.Fatalf("memoized report %d (%s under %s) diverges:\n memo-on  %s\n memo-off %s",
+			t.Fatalf("memoized report %d (%s under %s) diverges:\n got  %s\n want %s",
 				i, off[i].Job.Workload, off[i].Job.Selector, got, want)
 		}
 	}
@@ -86,16 +86,19 @@ func diffMemoRuns(t *testing.T, off, on []Result) {
 
 // TestSweepMemoMatchesOff is the memo layer's acceptance differential:
 // across every registered workload under all five selectors on a 3-point
-// parameter axis, a memoized sweep must be byte-identical to a memo-off
-// one, with the replay path doing the bulk of the work.
+// parameter axis, a memoized sweep must be byte-identical to a live one,
+// with the replay path doing the bulk of the work. The live reference is a
+// one-byte budget: the store rejects each cell's first recording, and every
+// job runs a live dynopt.Run.
 func TestSweepMemoMatchesOff(t *testing.T) {
 	g := memoTestGrid(workloads.Names())
-	off, offStats := runMemoGrid(t, g, Options{Shards: 3, Memo: MemoOff})
-	on, onStats := runMemoGrid(t, g, Options{Shards: 3, Memo: MemoOn})
+	off, offStats := runMemoGrid(t, g, Options{Shards: 3, MemoBudgetBytes: 1})
+	on, onStats := runMemoGrid(t, g, Options{Shards: 3})
 	diffMemoRuns(t, off, on)
 
-	if offStats != (MemoStats{}) {
-		t.Errorf("memo-off run touched the memo layer: %+v", offStats)
+	if offStats.Rejected != uint64(len(g.Workloads)) || offStats.Hits != 0 || offStats.Resident != 0 {
+		t.Errorf("one-byte-budget reference did not run live: %+v, want %d rejected, no hits, nothing resident",
+			offStats, len(g.Workloads))
 	}
 	jobs := uint64(g.NumJobs())
 	if onStats.Hits+onStats.Misses != jobs {
@@ -130,8 +133,8 @@ func TestSweepMemoConcurrentFirstTouch(t *testing.T) {
 		Selectors: append(PaperSelectors(), Adaptive),
 		Configs:   cfgs,
 	}
-	off, _ := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOff})
-	on, stats := runMemoGrid(t, g, Options{Shards: 8, Window: 2, Memo: MemoOn})
+	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
+	on, stats := runMemoGrid(t, g, Options{Shards: 8, Window: 2})
 	diffMemoRuns(t, off, on)
 	if stats.Hits+stats.Misses != uint64(g.NumJobs()) {
 		t.Errorf("hits %d + misses %d != %d jobs", stats.Hits, stats.Misses, g.NumJobs())
@@ -146,8 +149,8 @@ func TestSweepMemoConcurrentFirstTouch(t *testing.T) {
 func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 	g := memoTestGrid([]string{"gzip", "vpr"})
 	gzip, vpr := cellBytes(t, "gzip"), cellBytes(t, "vpr")
-	off, _ := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOff})
-	_, full := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn})
+	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
+	_, full := runMemoGrid(t, g, Options{Shards: 1})
 	if full.Resident != 2 || full.ResidentBytes != gzip+vpr {
 		t.Fatalf("probe run: %d corpora / %d bytes resident, want both workloads / %d bytes",
 			full.Resident, full.ResidentBytes, gzip+vpr)
@@ -155,7 +158,7 @@ func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 
 	// A budget one byte short of the working set holds either corpus but
 	// never both: admitting the second evicts the first.
-	on, st := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn, MemoBudgetBytes: gzip + vpr - 1})
+	on, st := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: gzip + vpr - 1})
 	diffMemoRuns(t, off, on)
 	if st.Evictions == 0 {
 		t.Errorf("under-working-set budget evicted nothing: %+v", st)
@@ -166,7 +169,7 @@ func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 
 	// A budget one byte short of the smaller corpus rejects every corpus;
 	// the cells go dead and every later job falls back to live execution.
-	on, st = runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOn, MemoBudgetBytes: min(gzip, vpr) - 1})
+	on, st = runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: min(gzip, vpr) - 1})
 	diffMemoRuns(t, off, on)
 	if st.Rejected != 2 {
 		t.Errorf("Rejected = %d, want one per workload cell", st.Rejected)
@@ -280,7 +283,7 @@ func TestSweepStoreSharedBudgetEvicts(t *testing.T) {
 	ref, trace := writeTrace(t, "gzip")
 	cell := cellBytes(t, "vpr")
 	g := memoTestGrid([]string{ref, "vpr"})
-	off, _ := runMemoGrid(t, g, Options{Shards: 1, Memo: MemoOff})
+	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
 	on, st := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: trace + cell - 1})
 	diffMemoRuns(t, off, on)
 	if st.Evictions == 0 || st.Rejected != 0 {
@@ -295,7 +298,7 @@ func TestSweepStoreSharedBudgetEvicts(t *testing.T) {
 // memoized dispatch: once a cell's corpus is recorded, a memoized job — the
 // store lookup plus the shard replay — performs no heap allocations.
 func TestShardMemoAllocFree(t *testing.T) {
-	e := &engine{runner: NewRunner(), memo: true}
+	e := &engine{runner: NewRunner()}
 	e.store = e.runner.ensureStore(0)
 	shard := NewShard()
 	run, err := e.runner.progs.get("gzip", testScale)
@@ -322,19 +325,6 @@ func TestShardMemoAllocFree(t *testing.T) {
 				t.Fatalf("steady-state memoized job allocated %.1f times, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestParseMemoMode pins the CLI switch.
-func TestParseMemoMode(t *testing.T) {
-	if m, err := ParseMemoMode("on"); err != nil || m != MemoOn {
-		t.Errorf("ParseMemoMode(on) = %v, %v", m, err)
-	}
-	if m, err := ParseMemoMode("off"); err != nil || m != MemoOff {
-		t.Errorf("ParseMemoMode(off) = %v, %v", m, err)
-	}
-	if _, err := ParseMemoMode("maybe"); err == nil {
-		t.Error("ParseMemoMode(maybe) accepted")
 	}
 }
 

@@ -120,16 +120,13 @@ type Options struct {
 	// held for undelivered results is Window × sizeof(Result) regardless of
 	// grid size.
 	Window int
-	// Memo switches record-once/replay-many trace memoization (memo.go).
-	// The zero value is MemoOn: the first job running a program runs live
-	// with a recorder tapped off the VM, every later job of the same
-	// program replays the recorded stream. Reports are byte-identical
-	// either way; only the execution strategy changes.
-	Memo MemoMode
 	// MemoBudgetBytes bounds the Runner's resident corpora — memo
 	// recordings and decoded trace files alike; <=0 means
 	// DefaultMemoBudgetBytes. Cells whose corpus cannot fit degrade to live
-	// execution, trace files to streaming from disk.
+	// execution, trace files to streaming from disk; a budget of 1 runs
+	// every cell live. Only the run that creates the Runner's store
+	// (ensureStore) fixes its budget: later runs on the same Runner ignore
+	// this value.
 	MemoBudgetBytes int64
 }
 
@@ -432,7 +429,6 @@ type engine struct {
 	queues []*queue
 	runner *Runner
 	store  *tracestream.Store
-	memo   bool // opts.Memo is MemoOn
 	del    *OrderedSink
 
 	mu   sync.Mutex
@@ -494,7 +490,6 @@ func (r *Runner) run(ctx context.Context, g Grid, lo, hi int, opts Options, sink
 		queues: make([]*queue, shards),
 		runner: r,
 		store:  r.ensureStore(opts.MemoBudgetBytes),
-		memo:   opts.Memo == MemoOn,
 		del:    NewOrderedSink(lo, window, sink),
 	}
 	// Partition the range into contiguous per-shard sub-ranges; work

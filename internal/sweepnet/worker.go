@@ -21,16 +21,14 @@ type ServerOptions struct {
 	// executing. <=0 means 2s; it must stay well under the coordinator's
 	// heartbeat timeout (10s).
 	Heartbeat time.Duration
-	// Memo switches the local engine's record-once/replay-many trace
-	// memoization (default on — sweep.MemoOn is the zero value).
-	// Memoization only changes how the worker executes jobs, never their
-	// reports, so remote output stays byte-identical to a local run either
-	// way, and the memoized corpora persist across ranges and connections
-	// with the shared Runner.
-	Memo sweep.MemoMode
 	// MemoBudgetBytes bounds the worker's resident corpora, memo
 	// recordings and decoded trace files alike (<=0 means
-	// sweep.DefaultMemoBudgetBytes).
+	// sweep.DefaultMemoBudgetBytes). The worker always memoizes, and the
+	// corpora persist across ranges and connections with the shared
+	// Runner; a budget of 1 runs every cell live. Only the first run on the
+	// Runner creates its store and fixes its budget (see
+	// sweep.Options.MemoBudgetBytes), so this value is ignored when Runner
+	// has already run.
 	MemoBudgetBytes int64
 	// Runner, when non-nil, is the pooled execution state to serve with
 	// instead of a fresh one — cmd/sweepd passes its own so it can report
@@ -240,7 +238,6 @@ func (s *session) executor(sctx context.Context) {
 		stream := &resultStream{s: s}
 		err := s.runner.RunRange(sctx, grid, r.lo, r.hi, sweep.Options{
 			Shards:          s.opts.Shards,
-			Memo:            s.opts.Memo,
 			MemoBudgetBytes: s.opts.MemoBudgetBytes,
 		}, stream)
 		if err != nil {

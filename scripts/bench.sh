@@ -12,8 +12,9 @@
 # count), BenchmarkSweepRemote (the same grid through the wire protocol
 # and two loopback sweepd workers — the delta against BenchmarkSweep is
 # the distribution overhead), BenchmarkSweepMemo (record-once/replay-many
-# trace memoization on a 16-point threshold axis, memo=off vs memo=on —
-# the jobs/s ratio is the memoization speedup), BenchmarkLEI (the
+# trace memoization on a 16-point threshold axis, memo=rejected — a
+# one-byte corpus budget, so every job runs live — vs memo=on; the jobs/s
+# ratio is the memoization speedup), BenchmarkLEI (the
 # pooled-scratch LEI selection path), BenchmarkAdaptive (the adaptive
 # meta-selector on the phased workload — detector accounting plus policy
 # switches), BenchmarkCombine (the trace-combination selectors over

@@ -22,11 +22,12 @@
 # for the extension studies), a distributed smoke run (two loopback sweepd workers,
 # jsonl output diffed against the local run — docs/SWEEPD.md — so
 # remote adaptive and trace-replay runs must be byte-identical; worker
-# logs are dumped when the diff fails; the local run is additionally
-# diffed memo-on vs -memo=off, and workers memoize by default, so the
-# smoke pins the record-once/replay-many layer locally and end to end;
-# one worker runs with -memobudget 1, so rejected corpora and streamed
-# trace files are diffed too),
+# logs are dumped when the diff fails; the local run memoizes, and it is
+# first diffed against the -memobudget 1 worker alone, which rejects every
+# corpus, so every cell runs live and the trace cell streams from disk:
+# that diff pins the record-once/replay-many layer against live runs end
+# to end, and the two-worker diff then mixes a memoizing worker with the
+# rejecting one),
 # a bench-regression gate
 # comparing fresh BenchmarkPipeline/BenchmarkLEI/BenchmarkAdaptive/
 # BenchmarkCombine/BenchmarkSweep/BenchmarkSweepMemo/BenchmarkReplay
@@ -135,10 +136,13 @@ addr1="$(sed -n 's/^sweepd: listening on //p' "$workdir/w1.log")"
 addr2="$(sed -n 's/^sweepd: listening on //p' "$workdir/w2.log")"
 "$workdir/sweep" -grid "$smokegrid" -sink jsonl >"$workdir/local.jsonl"
 # Memoization differential: the default local run above memoizes
-# (record-once/replay-many); forcing every job live must not change a byte.
-"$workdir/sweep" -grid "$smokegrid" -sink jsonl -memo=off >"$workdir/memooff.jsonl"
-diff "$workdir/local.jsonl" "$workdir/memooff.jsonl" || {
-    echo "check.sh: memoized sweep output differs from -memo=off run"
+# (record-once/replay-many); the -memobudget 1 worker alone rejects every
+# corpus, so every cell runs live and the trace cell streams from disk.
+# That must not change a byte.
+"$workdir/sweep" -grid "$smokegrid" -sink jsonl -remote "$addr2" >"$workdir/live.jsonl"
+diff "$workdir/local.jsonl" "$workdir/live.jsonl" || {
+    echo "check.sh: memoized sweep output differs from the live run on the -memobudget 1 worker"
+    cat "$workdir/w2.log"
     exit 1
 }
 "$workdir/sweep" -grid "$smokegrid" -sink jsonl -remote "$addr1,$addr2" >"$workdir/remote.jsonl"
