@@ -116,28 +116,53 @@ func TestSweepMemoMatchesOff(t *testing.T) {
 }
 
 // TestSweepMemoConcurrentFirstTouch races many shards into one cold cell: a
-// single workload with enough (selector, config) jobs that every shard's
-// first pop hits the same unrecorded (workload, scale) key. Whoever wins
-// the claim records; the rest must fall back to live execution and still
-// produce byte-identical reports.
+// single workload with enough (selector, config) cells to fill one chunk
+// per shard, so every shard's first claim runs the same unrecorded
+// (workload, scale) key. Whoever wins the claim records; the rest must fall
+// back to live execution and still produce byte-identical reports.
 func TestSweepMemoConcurrentFirstTouch(t *testing.T) {
+	const shards = 8
+	sels := append(PaperSelectors(), Adaptive)
 	var cfgs []Config
-	for _, th := range []int{4, 8, 16, 32, 64, 128} {
+	for i := 0; i < shards*maxChunk/len(sels); i++ {
 		p := core.DefaultParams()
-		p.NETThreshold = th
+		p.NETThreshold = 4 + i
 		cfgs = append(cfgs, Config{Params: p})
 	}
 	g := Grid{
 		Workloads: []string{"gzip"},
 		Scale:     testScale,
-		Selectors: append(PaperSelectors(), Adaptive),
+		Selectors: sels,
 		Configs:   cfgs,
 	}
+	if n := g.NumJobs(); n <= (shards-1)*maxChunk {
+		t.Fatalf("%d cells fill fewer than %d chunks", n, shards)
+	}
 	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
-	on, stats := runMemoGrid(t, g, Options{Shards: 8, Window: 2})
+	on, stats := runMemoGrid(t, g, Options{Shards: shards})
 	diffMemoRuns(t, off, on)
 	if stats.Hits+stats.Misses != uint64(g.NumJobs()) {
 		t.Errorf("hits %d + misses %d != %d jobs", stats.Hits, stats.Misses, g.NumJobs())
+	}
+	t.Logf("%d of %d jobs fell back to live while the cell was recording", stats.Fallbacks, g.NumJobs())
+	if stats.Misses != 1+stats.Fallbacks {
+		t.Errorf("Misses = %d, want 1 recording + %d fallbacks", stats.Misses, stats.Fallbacks)
+	}
+}
+
+// TestSweepChunksAlignToWorkloads pins the engine's unit of work: each
+// workload's cells fit one chunk, so one shard runs all of them and records
+// its program once, however the shards interleave — no shard ever
+// first-touches a workload another shard is recording.
+func TestSweepChunksAlignToWorkloads(t *testing.T) {
+	g := memoTestGrid([]string{"gzip", "vpr", "mcf", "bzip2"})
+	if per := g.NumJobs() / len(g.Workloads); per > maxChunk {
+		t.Fatalf("%d cells per workload exceed one %d-cell chunk", per, maxChunk)
+	}
+	_, st := runMemoGrid(t, g, Options{Shards: 3})
+	n := uint64(g.NumJobs())
+	if st.Misses != 4 || st.Fallbacks != 0 || st.Hits != n-4 {
+		t.Errorf("stats = %+v, want 4 misses (one recording per workload), no fallbacks, %d hits", st, n-4)
 	}
 }
 
@@ -195,8 +220,8 @@ func TestRunnerMemoPersistsAcrossRuns(t *testing.T) {
 		}
 		return r.MemoStats()
 	}
-	// Both shards may first-touch the cold cell: one records it, and each
-	// loser's live fallback counts as a miss too.
+	// A shard that first-touches the cold cell while another records it
+	// falls back to live, and that fallback counts as a miss too.
 	first := run()
 	if first.Misses != 1+first.Fallbacks {
 		t.Errorf("first run: Misses = %d, want 1 recording + %d fallbacks", first.Misses, first.Fallbacks)

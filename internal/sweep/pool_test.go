@@ -37,7 +37,7 @@ func TestConcurrentRunnersMatchSequential(t *testing.T) {
 		{Workloads: []string{"vpr", "gzip"}, Scale: testScale, Selectors: PaperSelectors(),
 			Configs: []Config{{Params: core.DefaultParams(), CacheLimitBytes: 400}}},
 	}
-	opts := []Options{{Shards: 3, Window: 2}, {Shards: 2, MemoBudgetBytes: 1}}
+	opts := []Options{{Shards: 3}, {Shards: 2, MemoBudgetBytes: 1}}
 	want := make([]string, len(grids))
 	for i := range grids {
 		want[i] = jsonlGrid(t, grids[i], opts[i])
