@@ -3,152 +3,11 @@ package vm
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
-	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/workloads"
 )
-
-// referenceRun is the seed interpreter kept verbatim as an executable
-// specification: a per-step fetch from the Program with a switch dispatch
-// and per-branch validation, reporting each taken branch to sink. The
-// predecoded dispatch loop in Run must produce the identical taken-branch
-// stream, statistics, and error for any program.
-func referenceRun(m *Machine, sink func(src, tgt isa.Addr, kind BranchKind)) (Stats, error) {
-	var st Stats
-	pc := m.prog.Entry()
-	p := m.prog
-	branch := func(src, tgt isa.Addr, kind BranchKind) error {
-		if !p.InRange(tgt) {
-			return fmt.Errorf("%w: %d -> %d", ErrBadTarget, src, tgt)
-		}
-		if !p.IsBlockStart(tgt) {
-			return fmt.Errorf("%w: %d -> %d", ErrNotLeader, src, tgt)
-		}
-		st.Branches++
-		if sink != nil {
-			sink(src, tgt, kind)
-		}
-		return nil
-	}
-	dynTarget := func(pc isa.Addr, v int64) (isa.Addr, error) {
-		if v < 0 || !p.InRange(isa.Addr(v)) {
-			return 0, fmt.Errorf("%w: at %d, computed %d", ErrBadTarget, pc, v)
-		}
-		return isa.Addr(v), nil
-	}
-	for {
-		if st.Instrs >= m.cfg.MaxInstrs {
-			return st, fmt.Errorf("%w after %d instructions at %d", ErrMaxInstrs, st.Instrs, pc)
-		}
-		if !p.InRange(pc) {
-			return st, fmt.Errorf("%w: fetch at %d", ErrBadTarget, pc)
-		}
-		in := p.At(pc)
-		st.Instrs++
-		next := pc + 1
-		switch in.Op {
-		case isa.Nop:
-		case isa.Halt:
-			st.FinalPC = pc
-			return st, nil
-		case isa.MovImm:
-			m.regs[in.Dst] = in.Imm
-		case isa.Mov:
-			m.regs[in.Dst] = m.regs[in.SrcA]
-		case isa.Add:
-			m.regs[in.Dst] = m.regs[in.SrcA] + m.regs[in.SrcB]
-		case isa.AddImm:
-			m.regs[in.Dst] = m.regs[in.SrcA] + in.Imm
-		case isa.Sub:
-			m.regs[in.Dst] = m.regs[in.SrcA] - m.regs[in.SrcB]
-		case isa.Mul:
-			m.regs[in.Dst] = m.regs[in.SrcA] * m.regs[in.SrcB]
-		case isa.Div:
-			if d := m.regs[in.SrcB]; d != 0 {
-				m.regs[in.Dst] = m.regs[in.SrcA] / d
-			} else {
-				m.regs[in.Dst] = 0
-			}
-		case isa.Rem:
-			if d := m.regs[in.SrcB]; d != 0 {
-				m.regs[in.Dst] = m.regs[in.SrcA] % d
-			} else {
-				m.regs[in.Dst] = 0
-			}
-		case isa.And:
-			m.regs[in.Dst] = m.regs[in.SrcA] & m.regs[in.SrcB]
-		case isa.Or:
-			m.regs[in.Dst] = m.regs[in.SrcA] | m.regs[in.SrcB]
-		case isa.Xor:
-			m.regs[in.Dst] = m.regs[in.SrcA] ^ m.regs[in.SrcB]
-		case isa.Shl:
-			m.regs[in.Dst] = m.regs[in.SrcA] << (uint64(m.regs[in.SrcB]) & 63)
-		case isa.Shr:
-			m.regs[in.Dst] = int64(uint64(m.regs[in.SrcA]) >> (uint64(m.regs[in.SrcB]) & 63))
-		case isa.Load:
-			m.regs[in.Dst] = m.mem[m.wrap(m.regs[in.SrcA]+in.Imm)]
-		case isa.Store:
-			m.mem[m.wrap(m.regs[in.SrcA]+in.Imm)] = m.regs[in.SrcB]
-		case isa.Jmp:
-			if err := branch(pc, in.Target, KindJump); err != nil {
-				return st, err
-			}
-			next = in.Target
-		case isa.Br:
-			if in.Cond.Eval(m.regs[in.SrcA], m.regs[in.SrcB]) {
-				if err := branch(pc, in.Target, KindCond); err != nil {
-					return st, err
-				}
-				next = in.Target
-			}
-		case isa.Call:
-			if len(m.ras) >= m.cfg.MaxCallDepth {
-				return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
-			}
-			m.ras = append(m.ras, pc+1)
-			if err := branch(pc, in.Target, KindCall); err != nil {
-				return st, err
-			}
-			next = in.Target
-		case isa.CallInd:
-			tgt, err := dynTarget(pc, m.regs[in.SrcA])
-			if err != nil {
-				return st, err
-			}
-			if len(m.ras) >= m.cfg.MaxCallDepth {
-				return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
-			}
-			m.ras = append(m.ras, pc+1)
-			if err := branch(pc, tgt, KindIndCall); err != nil {
-				return st, err
-			}
-			next = tgt
-		case isa.JmpInd:
-			tgt, err := dynTarget(pc, m.regs[in.SrcA])
-			if err != nil {
-				return st, err
-			}
-			if err := branch(pc, tgt, KindIndJump); err != nil {
-				return st, err
-			}
-			next = tgt
-		case isa.Ret:
-			if len(m.ras) == 0 {
-				return st, fmt.Errorf("%w at %d", ErrUnderflow, pc)
-			}
-			tgt := m.ras[len(m.ras)-1]
-			m.ras = m.ras[:len(m.ras)-1]
-			if err := branch(pc, tgt, KindReturn); err != nil {
-				return st, err
-			}
-			next = tgt
-		default:
-			return st, fmt.Errorf("vm: unknown opcode %d at %d", in.Op, pc)
-		}
-		pc = next
-	}
-}
 
 // corpus returns a diverse set of programs: every registered workload at a
 // small scale plus random structured programs.
@@ -172,51 +31,6 @@ func corpus(t *testing.T) map[string]*program.Program {
 	return progs
 }
 
-// TestPredecodedMatchesReference proves the predecoded dispatch loop is
-// observationally identical to the seed interpreter: the block stream
-// filtered to taken branches is the reference's taken-branch stream
-// (addresses and kinds), with the same statistics, error, and final
-// register file, for every workload and a corpus of random structured
-// programs.
-func TestPredecodedMatchesReference(t *testing.T) {
-	for name, p := range corpus(t) {
-		t.Run(name, func(t *testing.T) {
-			var want []event
-			mNew := New(p, Config{})
-			rec := &recorder{}
-			stNew, errNew := mNew.Run(rec)
-			mRef := New(p, Config{})
-			stRef, errRef := referenceRun(mRef, func(src, tgt isa.Addr, kind BranchKind) {
-				want = append(want, event{src, tgt, kind})
-			})
-			if (errNew == nil) != (errRef == nil) {
-				t.Fatalf("error mismatch: predecoded %v, reference %v", errNew, errRef)
-			}
-			if errNew != nil && errNew.Error() != errRef.Error() {
-				t.Fatalf("error text mismatch:\n predecoded %v\n reference  %v", errNew, errRef)
-			}
-			if stNew != stRef {
-				t.Fatalf("stats mismatch: predecoded %+v, reference %+v", stNew, stRef)
-			}
-			got := rec.events
-			if len(got) != len(want) {
-				t.Fatalf("event count mismatch: predecoded %d, reference %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("event %d mismatch: predecoded %+v, reference %+v", i, got[i], want[i])
-				}
-			}
-			for r := 0; r < isa.NumRegs; r++ {
-				if mNew.Reg(isa.Reg(r)) != mRef.Reg(isa.Reg(r)) {
-					t.Fatalf("r%d mismatch: predecoded %d, reference %d",
-						r, mNew.Reg(isa.Reg(r)), mRef.Reg(isa.Reg(r)))
-				}
-			}
-		})
-	}
-}
-
 // blockRecorder collects the whole block stream.
 type blockRecorder struct{ blocks []BlockEvent }
 
@@ -224,11 +38,11 @@ func (r *blockRecorder) BlockBatch(events []BlockEvent) {
 	r.blocks = append(r.blocks, events...)
 }
 
-// TestBlockStreamMatchesBranchStream proves the block stream refines the
-// taken-branch stream TestPredecodedMatchesReference checks: every event's
-// Src is the final instruction of the block led by the preceding event's
-// Tgt, every Tgt is a leader, and fall-throughs continue at the next
-// address (fall-through boundaries resolved correctly).
+// TestBlockStreamMatchesBranchStream checks the block stream's structure
+// against the program (difftest's TestDiffVM checks it event for event
+// against the frozen reference interpreter): every event's Src is the
+// final instruction of the block led by the preceding event's Tgt, every
+// Tgt is a leader, and fall-throughs continue at the next address.
 func TestBlockStreamMatchesBranchStream(t *testing.T) {
 	for name, p := range corpus(t) {
 		t.Run(name, func(t *testing.T) {
@@ -284,6 +98,29 @@ func TestMachineLoadReuse(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("event %d mismatch after Load: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestPredecodeLayout pins the predecoded instruction at 24 bytes, with the
+// segment length riding in what would otherwise be padding, and checks
+// that every instruction's segment runs to the end of its block.
+func TestPredecodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(pInstr{}); size != 24 {
+		t.Fatalf("pInstr is %d bytes, want 24", size)
+	}
+	for name, p := range corpus(t) {
+		m := New(p, Config{MemWords: 1})
+		for _, s := range p.BlockStarts() {
+			end := p.BlockEnd(s)
+			for a := s; a < end; a++ {
+				if got := m.code[a].run; got != uint32(end-a) {
+					t.Fatalf("%s: run at %d = %d, want %d (block %d..%d)", name, a, got, end-a, s, end)
+				}
+			}
+		}
+		if sentinel := m.code[p.Len()]; sentinel.op != opPastEnd || sentinel.run != 1 {
+			t.Fatalf("%s: sentinel = %+v", name, sentinel)
 		}
 	}
 }

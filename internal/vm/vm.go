@@ -118,28 +118,25 @@ var (
 )
 
 // pInstr is one predecoded instruction: operands widened into fixed slots,
-// the branch kind and block-boundary flag resolved once at load time, so
-// the dispatch loop fetches from a flat array and never re-derives static
-// facts per step.
+// the branch kind and the length of the straight-line segment it starts
+// resolved once at load time, so the dispatch loop fetches from a flat
+// array and never re-derives static facts per step.
 type pInstr struct {
-	op    isa.Opcode
-	cond  isa.Cond
-	dst   isa.Reg
-	srcA  isa.Reg
-	srcB  isa.Reg
-	kind  BranchKind // branch classification, for branch opcodes
-	flags uint8
-	// pad to keep imm aligned; struct is 24 bytes.
-	_      uint8
+	op   isa.Opcode
+	cond isa.Cond
+	dst  isa.Reg
+	srcA isa.Reg
+	srcB isa.Reg
+	kind BranchKind // branch classification, for branch opcodes
+	// two bytes of padding keep target aligned.
 	target isa.Addr
-	imm    int64
+	// run counts the instructions from this one up to and including the
+	// next block end (a control instruction, or one whose successor is a
+	// leader or the program end). It fills the four bytes that would
+	// otherwise pad imm, so the struct stays 24 bytes.
+	run uint32
+	imm int64
 }
-
-const (
-	// flagEndsBlock marks the final instruction of a basic block (its
-	// successor address is a block leader, or the program end).
-	flagEndsBlock uint8 = 1 << iota
-)
 
 // opPastEnd is the sentinel opcode placed one past the program's last
 // instruction, so the dispatch loop detects a fall-off-the-end fetch
@@ -203,7 +200,12 @@ func (m *Machine) predecode() {
 		m.code = make([]pInstr, n+1)
 	}
 	m.code = m.code[:n+1]
-	for a := 0; a < n; a++ {
+	m.code[n] = pInstr{op: opPastEnd, run: 1}
+	// Backwards, so an instruction's run extends its successor's unless
+	// the successor is a leader or the program end. Every control
+	// instruction ends a block (program.computeBlocks makes its successor
+	// a leader), so a segment is a block's tail.
+	for a := n - 1; a >= 0; a-- {
 		in := m.prog.At(isa.Addr(a))
 		pi := pInstr{
 			op:     in.Op,
@@ -213,6 +215,7 @@ func (m *Machine) predecode() {
 			srcB:   in.SrcB,
 			imm:    in.Imm,
 			target: in.Target,
+			run:    1,
 		}
 		switch in.Op {
 		case isa.Jmp:
@@ -228,12 +231,11 @@ func (m *Machine) predecode() {
 		case isa.Ret:
 			pi.kind = KindReturn
 		}
-		if a+1 >= n || m.prog.IsBlockStart(isa.Addr(a+1)) {
-			pi.flags |= flagEndsBlock
+		if a+1 < n && !m.prog.IsBlockStart(isa.Addr(a+1)) {
+			pi.run += m.code[a+1].run
 		}
 		m.code[a] = pi
 	}
-	m.code[n] = pInstr{op: opPastEnd}
 }
 
 // Reset clears registers, memory, and the call stack so the machine can be
@@ -270,11 +272,19 @@ func (m *Machine) wrap(i int64) int64 {
 // block events to sink (see BlockSink). sink may be nil; Stats are counted
 // either way. Buffered events are flushed before every return.
 //
-// The dispatch loop fetches from the predecoded instruction array: direct
-// branch targets were validated at load time (program construction
+// The dispatch loop fetches from the predecoded instruction array one
+// straight-line segment at a time: the instruction budget, the
+// instruction count and the fall-through event are settled once per
+// segment from its predecoded length, and only the segment's final
+// instruction can branch or fail. When a segment would overrun the
+// budget, exactly the remaining budget is executed before the run fails.
+// Direct branch targets were validated at load time (program construction
 // guarantees they are block leaders), so only dynamic targets pay a
 // validity check, and the fall-off-the-end case is caught by the sentinel
-// instruction rather than a per-step bounds test.
+// instruction rather than a per-step bounds test. Register operands are
+// masked with 31 (isa.NumRegs-1), which is exact because program.New
+// rejects any register at or above isa.NumRegs, and which lets the
+// compiler drop the register file's bounds checks.
 //
 //lint:hotpath interpreter dispatch loop
 func (m *Machine) Run(sink BlockSink) (Stats, error) {
@@ -284,141 +294,155 @@ func (m *Machine) Run(sink BlockSink) (Stats, error) {
 	progLen := len(code) - 1
 	maxInstrs := m.cfg.MaxInstrs
 	maxDepth := m.cfg.MaxCallDepth
+	regs := &m.regs
 	if sink != nil && cap(m.batch) == 0 {
 		m.batch = make([]BlockEvent, 0, batchCap)
 	}
 	batch := m.batch[:0]
+segment:
 	for {
-		if st.Instrs >= maxInstrs {
-			m.finishBatch(sink, batch)
-			return st, fmt.Errorf("%w after %d instructions at %d", ErrMaxInstrs, st.Instrs, pc)
+		n := uint64(code[pc].run)
+		cut := n > maxInstrs-st.Instrs
+		if cut {
+			n = maxInstrs - st.Instrs
 		}
-		in := &code[pc]
-		st.Instrs++
-		next := pc + 1
-		var tgt isa.Addr
-		taken := false
-		switch in.op {
-		case isa.Nop:
-		case isa.Halt:
-			st.FinalPC = pc
-			m.finishBatch(sink, batch)
-			return st, nil
-		case isa.MovImm:
-			m.regs[in.dst] = in.imm
-		case isa.Mov:
-			m.regs[in.dst] = m.regs[in.srcA]
-		case isa.Add:
-			m.regs[in.dst] = m.regs[in.srcA] + m.regs[in.srcB]
-		case isa.AddImm:
-			m.regs[in.dst] = m.regs[in.srcA] + in.imm
-		case isa.Sub:
-			m.regs[in.dst] = m.regs[in.srcA] - m.regs[in.srcB]
-		case isa.Mul:
-			m.regs[in.dst] = m.regs[in.srcA] * m.regs[in.srcB]
-		case isa.Div:
-			if d := m.regs[in.srcB]; d != 0 {
-				m.regs[in.dst] = m.regs[in.srcA] / d
-			} else {
-				m.regs[in.dst] = 0
-			}
-		case isa.Rem:
-			if d := m.regs[in.srcB]; d != 0 {
-				m.regs[in.dst] = m.regs[in.srcA] % d
-			} else {
-				m.regs[in.dst] = 0
-			}
-		case isa.And:
-			m.regs[in.dst] = m.regs[in.srcA] & m.regs[in.srcB]
-		case isa.Or:
-			m.regs[in.dst] = m.regs[in.srcA] | m.regs[in.srcB]
-		case isa.Xor:
-			m.regs[in.dst] = m.regs[in.srcA] ^ m.regs[in.srcB]
-		case isa.Shl:
-			m.regs[in.dst] = m.regs[in.srcA] << (uint64(m.regs[in.srcB]) & 63)
-		case isa.Shr:
-			m.regs[in.dst] = int64(uint64(m.regs[in.srcA]) >> (uint64(m.regs[in.srcB]) & 63))
-		case isa.Load:
-			m.regs[in.dst] = m.mem[m.wrap(m.regs[in.srcA]+in.imm)]
-		case isa.Store:
-			i := m.wrap(m.regs[in.srcA] + in.imm)
-			m.mem[i] = m.regs[in.srcB]
-			if i < m.dirtyLo {
-				m.dirtyLo = i
-			}
-			if i > m.dirtyHi {
-				m.dirtyHi = i
-			}
-		case isa.Jmp:
-			tgt, taken = in.target, true
-		case isa.Br:
-			if in.cond.Eval(m.regs[in.srcA], m.regs[in.srcB]) {
-				tgt, taken = in.target, true
-			}
-		case isa.Call:
-			if len(m.ras) >= maxDepth {
+		st.Instrs += n
+		for end := pc + isa.Addr(n); pc < end; pc++ {
+			in := &code[pc]
+			var tgt isa.Addr
+			switch in.op {
+			case isa.Nop:
+				continue
+			case isa.MovImm:
+				regs[in.dst&31] = in.imm
+				continue
+			case isa.Mov:
+				regs[in.dst&31] = regs[in.srcA&31]
+				continue
+			case isa.Add:
+				regs[in.dst&31] = regs[in.srcA&31] + regs[in.srcB&31]
+				continue
+			case isa.AddImm:
+				regs[in.dst&31] = regs[in.srcA&31] + in.imm
+				continue
+			case isa.Sub:
+				regs[in.dst&31] = regs[in.srcA&31] - regs[in.srcB&31]
+				continue
+			case isa.Mul:
+				regs[in.dst&31] = regs[in.srcA&31] * regs[in.srcB&31]
+				continue
+			case isa.Div:
+				if d := regs[in.srcB&31]; d != 0 {
+					regs[in.dst&31] = regs[in.srcA&31] / d
+				} else {
+					regs[in.dst&31] = 0
+				}
+				continue
+			case isa.Rem:
+				if d := regs[in.srcB&31]; d != 0 {
+					regs[in.dst&31] = regs[in.srcA&31] % d
+				} else {
+					regs[in.dst&31] = 0
+				}
+				continue
+			case isa.And:
+				regs[in.dst&31] = regs[in.srcA&31] & regs[in.srcB&31]
+				continue
+			case isa.Or:
+				regs[in.dst&31] = regs[in.srcA&31] | regs[in.srcB&31]
+				continue
+			case isa.Xor:
+				regs[in.dst&31] = regs[in.srcA&31] ^ regs[in.srcB&31]
+				continue
+			case isa.Shl:
+				regs[in.dst&31] = regs[in.srcA&31] << (uint64(regs[in.srcB&31]) & 63)
+				continue
+			case isa.Shr:
+				regs[in.dst&31] = int64(uint64(regs[in.srcA&31]) >> (uint64(regs[in.srcB&31]) & 63))
+				continue
+			case isa.Load:
+				regs[in.dst&31] = m.mem[m.wrap(regs[in.srcA&31]+in.imm)]
+				continue
+			case isa.Store:
+				i := m.wrap(regs[in.srcA&31] + in.imm)
+				m.mem[i] = regs[in.srcB&31]
+				if i < m.dirtyLo {
+					m.dirtyLo = i
+				}
+				if i > m.dirtyHi {
+					m.dirtyHi = i
+				}
+				continue
+			case isa.Halt:
+				st.FinalPC = pc
 				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
-			}
-			m.ras = append(m.ras, pc+1)
-			tgt, taken = in.target, true
-		case isa.CallInd:
-			v := m.regs[in.srcA]
-			if v < 0 || int(isa.Addr(v)) >= progLen {
+				return st, nil
+			case isa.Jmp:
+				tgt = in.target
+			case isa.Br:
+				if !in.cond.Eval(regs[in.srcA&31], regs[in.srcB&31]) {
+					continue
+				}
+				tgt = in.target
+			case isa.Call:
+				if len(m.ras) >= maxDepth {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
+				}
+				m.ras = append(m.ras, pc+1)
+				tgt = in.target
+			case isa.CallInd:
+				v := regs[in.srcA&31]
+				if v < 0 || int(isa.Addr(v)) >= progLen {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w: at %d, computed %d", ErrBadTarget, pc, v)
+				}
+				if len(m.ras) >= maxDepth {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
+				}
+				m.ras = append(m.ras, pc+1)
+				tgt = isa.Addr(v)
+				if !m.prog.IsBlockStart(tgt) {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
+				}
+			case isa.JmpInd:
+				v := regs[in.srcA&31]
+				if v < 0 || int(isa.Addr(v)) >= progLen {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w: at %d, computed %d", ErrBadTarget, pc, v)
+				}
+				tgt = isa.Addr(v)
+				if !m.prog.IsBlockStart(tgt) {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
+				}
+			case isa.Ret:
+				if len(m.ras) == 0 {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w at %d", ErrUnderflow, pc)
+				}
+				tgt = m.ras[len(m.ras)-1]
+				m.ras = m.ras[:len(m.ras)-1]
+				// Return addresses are post-call addresses, which
+				// program.computeBlocks makes leaders, or the program end.
+				if int(tgt) >= progLen {
+					m.finishBatch(sink, batch)
+					return st, fmt.Errorf("%w: %d -> %d", ErrBadTarget, pc, tgt)
+				}
+			case opPastEnd:
+				// A final conditional branch can fall through past the
+				// program end; the machine reports that program bug rather
+				// than crash on it.
+				st.Instrs--
 				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w: at %d, computed %d", ErrBadTarget, pc, v)
-			}
-			if len(m.ras) >= maxDepth {
+				return st, fmt.Errorf("%w: fetch at %d", ErrBadTarget, pc)
+			default:
 				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w at %d", ErrCallDepth, pc)
+				return st, fmt.Errorf("vm: unknown opcode %d at %d", in.op, pc)
 			}
-			m.ras = append(m.ras, pc+1)
-			tgt = isa.Addr(v)
-			if !m.prog.IsBlockStart(tgt) {
-				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
-			}
-			taken = true
-		case isa.JmpInd:
-			v := m.regs[in.srcA]
-			if v < 0 || int(isa.Addr(v)) >= progLen {
-				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w: at %d, computed %d", ErrBadTarget, pc, v)
-			}
-			tgt = isa.Addr(v)
-			if !m.prog.IsBlockStart(tgt) {
-				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
-			}
-			taken = true
-		case isa.Ret:
-			if len(m.ras) == 0 {
-				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w at %d", ErrUnderflow, pc)
-			}
-			tgt = m.ras[len(m.ras)-1]
-			m.ras = m.ras[:len(m.ras)-1]
-			if int(tgt) >= progLen {
-				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w: %d -> %d", ErrBadTarget, pc, tgt)
-			}
-			if !m.prog.IsBlockStart(tgt) {
-				m.finishBatch(sink, batch)
-				return st, fmt.Errorf("%w: %d -> %d", ErrNotLeader, pc, tgt)
-			}
-			taken = true
-		case opPastEnd:
-			// A final conditional branch can fall through past the program
-			// end, and a final call's return address lies past it; both
-			// are program bugs the machine reports rather than crashes on.
-			st.Instrs--
-			m.finishBatch(sink, batch)
-			return st, fmt.Errorf("%w: fetch at %d", ErrBadTarget, pc)
-		default:
-			m.finishBatch(sink, batch)
-			return st, fmt.Errorf("vm: unknown opcode %d at %d", in.op, pc)
-		}
-		if taken {
+			// A taken branch, always its segment's final instruction.
 			st.Branches++
 			if sink != nil {
 				batch = append(batch, BlockEvent{Src: pc, Tgt: tgt, Kind: in.kind, Taken: true})
@@ -428,16 +452,23 @@ func (m *Machine) Run(sink BlockSink) (Stats, error) {
 				}
 			}
 			pc = tgt
-			continue
+			continue segment
 		}
-		if in.flags&flagEndsBlock != 0 && sink != nil && int(next) < progLen {
-			batch = append(batch, BlockEvent{Src: pc, Tgt: next})
+		if cut {
+			// The budget ran out before the segment's final instruction,
+			// so nothing in the segment could branch or fail.
+			m.finishBatch(sink, batch)
+			return st, fmt.Errorf("%w after %d instructions at %d", ErrMaxInstrs, st.Instrs, pc)
+		}
+		// The segment fell through its block end into the next leader, or
+		// into the sentinel past the program end.
+		if sink != nil && int(pc) < progLen {
+			batch = append(batch, BlockEvent{Src: pc - 1, Tgt: pc})
 			if len(batch) == cap(batch) {
 				sink.BlockBatch(batch)
 				batch = batch[:0]
 			}
 		}
-		pc = next
 	}
 }
 
