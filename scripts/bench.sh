@@ -5,8 +5,8 @@
 #   scripts/bench.sh [count] [bench-regex]
 #
 # count is the -count passed to `go test` (default 5). bench-regex
-# optionally restricts which benchmarks run (default: the ten recorded
-# ones). Ten benchmarks are recorded: BenchmarkPipeline (the full
+# optionally restricts which benchmarks run (default: the eleven
+# recorded ones). Eleven benchmarks are recorded: BenchmarkPipeline (the full
 # experiment matrix), BenchmarkPipelineLarge (the synthetic large-program
 # stress run), BenchmarkSweep (the sharded sweep engine at each shard
 # count), BenchmarkSweepRemote (the same grid through the wire protocol
@@ -21,7 +21,9 @@
 # the micro and synthetic workloads), BenchmarkAnalyze (the pooled
 # metrics analyzer), and BenchmarkReplay (trace record/replay: live VM
 # ns/instr vs stream-decode ns/event vs corpus-replay ns/instr — the
-# live/replay gap is the interpreter cost replay saves). The JSON holds one object
+# live/replay gap is the interpreter cost replay saves), and
+# BenchmarkVMInterpret (the VM alone: gcc at scale 100, no sink, so the
+# dispatch loop is all it times). The JSON holds one object
 # per run with each benchmark's normalized metrics (ns and heap bytes per
 # simulated instruction, jobs/s for the sweep engine, where reported) plus
 # the standard ns/op, B/op, and allocs/op columns, so regressions are
@@ -32,7 +34,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 count="${1:-5}"
-benchre="${2:-^(BenchmarkPipeline|BenchmarkPipelineLarge|BenchmarkSweep|BenchmarkSweepRemote|BenchmarkSweepMemo|BenchmarkLEI|BenchmarkAdaptive|BenchmarkCombine|BenchmarkAnalyze|BenchmarkReplay)$}"
+benchre="${2:-^(BenchmarkPipeline|BenchmarkPipelineLarge|BenchmarkSweep|BenchmarkSweepRemote|BenchmarkSweepMemo|BenchmarkLEI|BenchmarkAdaptive|BenchmarkCombine|BenchmarkAnalyze|BenchmarkReplay|BenchmarkVMInterpret)$}"
 out="BENCH_pipeline.json"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

@@ -43,6 +43,7 @@ type run struct {
 	NsPerInstr    *float64 `json:"ns_per_instr"`
 	BytesPerInstr *float64 `json:"bytes_per_instr"`
 	JobsPerSec    *float64 `json:"jobs_per_s,omitempty"`
+	MinstrPerSec  *float64 `json:"minstr_per_s,omitempty"`
 	SkippedPerEv  *float64 `json:"skipped_per_event,omitempty"`
 	CPU           string   `json:"cpu,omitempty"`
 	GOMAXPROCS    int      `json:"gomaxprocs,omitempty"`
@@ -151,6 +152,8 @@ func parseLine(line string) (string, run, bool) {
 			r.BytesPerInstr = &v
 		case "jobs/s":
 			r.JobsPerSec = &v
+		case "Minstr/s":
+			r.MinstrPerSec = &v
 		case "skipped/event":
 			r.SkippedPerEv = &v
 		}

@@ -22,6 +22,9 @@ func TestParseLine(t *testing.T) {
 		{"BenchmarkReplay/replay-2 \t 9000\t 104446 ns/op\t 2.62 ns/event\t 0.33 ns/instr\t 0.70 skipped/event",
 			"BenchmarkReplay/replay", 2,
 			run{Iters: 9000, NsPerOp: f(104446), NsPerInstr: f(0.33), SkippedPerEv: f(0.7)}},
+		{"BenchmarkVMInterpret \t 2500\t 470000 ns/op\t 191.1 Minstr/s",
+			"BenchmarkVMInterpret", 1,
+			run{Iters: 2500, NsPerOp: f(470000), MinstrPerSec: f(191.1)}},
 	} {
 		name, got, ok := parseLine(c.line)
 		if !ok || name != c.name || got.GOMAXPROCS != c.procs || got.Iters != c.want.Iters {
@@ -39,6 +42,7 @@ func TestParseLine(t *testing.T) {
 			{"B/instr", got.BytesPerInstr, c.want.BytesPerInstr},
 			{"jobs/s", got.JobsPerSec, c.want.JobsPerSec},
 			{"skipped/event", got.SkippedPerEv, c.want.SkippedPerEv},
+			{"Minstr/s", got.MinstrPerSec, c.want.MinstrPerSec},
 		} {
 			if (m.got == nil) != (m.want == nil) || m.got != nil && *m.got != *m.want {
 				t.Errorf("parseLine(%q) %s = %v, want %v", c.line, m.unit, m.got, m.want)

@@ -35,11 +35,13 @@
 # BENCH_pipeline.json, the differential selector-equivalence suite run
 # twice (catching order- or state-dependent divergence between the
 # dense production selectors and their frozen map-based references, the
-# pooled Combiner and the adaptive meta-selector included, and between
-# the simulator's region walk and the frozen event-at-a-time simulator),
-# and a short fuzz pass over the selector, region-walk, wire-codec,
-# trace-stream, repeat-finder, assembler, compact-trace, and lint
-# directive-grammar fuzz targets.
+# pooled Combiner and the adaptive meta-selector included, between the
+# simulator's region walk and the frozen event-at-a-time simulator, and
+# between the VM's segment dispatch and the frozen instruction-at-a-time
+# interpreter, at every instruction budget below 3000), and a short fuzz
+# pass over the selector, region-walk, VM, wire-codec, trace-stream,
+# repeat-finder, assembler, compact-trace, and lint directive-grammar
+# fuzz targets.
 #
 #   scripts/check.sh [fuzztime]
 #
@@ -184,6 +186,8 @@ if [ "$fuzztime" != "0" ]; then
     go test -run '^$' -fuzz '^FuzzAdaptiveSelect$' -fuzztime "$fuzztime" ./internal/difftest/
     echo "== fuzz: FuzzRegionWalk ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzRegionWalk$' -fuzztime "$fuzztime" ./internal/difftest/
+    echo "== fuzz: FuzzVM ($fuzztime) =="
+    go test -run '^$' -fuzz '^FuzzVM$' -fuzztime "$fuzztime" ./internal/difftest/
     echo "== fuzz: FuzzJobCodec ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzJobCodec$' -fuzztime "$fuzztime" ./internal/sweepnet/
     echo "== fuzz: FuzzStreamDecode ($fuzztime) =="
