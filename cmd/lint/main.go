@@ -5,35 +5,25 @@
 //
 // Usage:
 //
-//	go run ./cmd/lint [-json|-sarif|-gha] [patterns...]
+//	go run ./cmd/lint [-gha] [patterns...]
 //
 // Patterns default to ./... and accept ./dir and ./dir/... forms relative
-// to the module root. Output selects one format: plain file:line:col lines
-// (default), -json (array of {file, line, col, check, message}), -sarif
-// (a SARIF 2.1.0 log for code-scanning uploads), or -gha (GitHub Actions
-// ::error workflow commands, which CI logs render as pull-request
-// annotations).
+// to the module root. Output is plain file:line:col lines by default, or
+// with -gha GitHub Actions ::error workflow commands, which CI logs render
+// as pull-request annotations.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
 	ghaOut := flag.Bool("gha", false, "emit diagnostics as GitHub Actions ::error annotations")
 	flag.Parse()
-	if *jsonOut && *sarifOut || *jsonOut && *ghaOut || *sarifOut && *ghaOut {
-		fmt.Fprintln(os.Stderr, "lint: -json, -sarif, and -gha are mutually exclusive")
-		os.Exit(2)
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -51,49 +41,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	analyzers := Analyzers(module)
-	diags := lint.Run(pkgs, analyzers)
-	switch {
-	case *sarifOut:
-		data, err := lint.SARIF(root, analyzers, diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(string(data))
-	case *ghaOut:
-		for _, d := range diags {
+	diags := lint.Run(pkgs, Analyzers(module))
+	for _, d := range diags {
+		if *ghaOut {
 			fmt.Println(lint.GHALine(root, d))
-		}
-	case *jsonOut:
-		type jsonDiag struct {
-			File    string `json:"file"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-			Check   string `json:"check"`
-			Message string `json:"message"`
-		}
-		out := []jsonDiag{}
-		for _, d := range diags {
-			file := d.Pos.Filename
-			if rel, err := filepath.Rel(root, file); err == nil {
-				file = filepath.ToSlash(rel)
-			}
-			out = append(out, jsonDiag{File: file, Line: d.Pos.Line, Col: d.Pos.Column, Check: d.Check, Message: d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			fmt.Println(d.String(root))
 		}
 	}
 	if len(diags) > 0 {
-		if !*jsonOut && !*sarifOut && !*ghaOut {
+		if !*ghaOut {
 			fmt.Fprintf(os.Stderr, "lint: %d diagnostic(s)\n", len(diags))
 		}
 		os.Exit(1)

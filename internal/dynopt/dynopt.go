@@ -47,8 +47,8 @@ type Config struct {
 	Tracer Tracer
 	// Tap, when set, receives a copy of the live run's block-event stream
 	// alongside the simulator (via vm.Tee) — the recording hook: a
-	// tracestream.Recorder tapped here captures the exact stream that
-	// produced the run's report, with no second interpretation. Only Run
+	// tracestream.Encoder or MemRecorder tapped here captures the exact
+	// stream that produced the run's report, with no second interpretation. Only Run
 	// consults it; the stream-driven entry points have the stream already.
 	Tap vm.BlockSink
 	// Scratch holds the run's state — interpreter, simulator, metrics

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -38,17 +37,17 @@ func RandomCorpus(r *sweep.Runner, n int, baseSeed int64) (Figure, error) {
 			Constructs: 4 + i%5,
 		})
 		for _, sel := range AllSelectors() {
-			res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
+			rep, err := r.Simulate(prog, sel, dynopt.Config{}, nil)
 			if err != nil {
 				return Figure{}, fmt.Errorf("experiments: random corpus seed %d under %s: %w",
 					baseSeed+int64(i), sel, err)
 			}
 			a := sums[sel]
-			a.transitions += float64(res.Report.Transitions)
-			a.cover += float64(res.Report.CoverSet90)
-			a.expansion += float64(res.Report.CodeExpansion)
-			a.stubs += float64(res.Report.Stubs)
-			a.hit += res.Report.HitRate
+			a.transitions += float64(rep.Transitions)
+			a.cover += float64(rep.CoverSet90)
+			a.expansion += float64(rep.CodeExpansion)
+			a.stubs += float64(rep.Stubs)
+			a.hit += rep.HitRate
 		}
 	}
 	t := stats.NewTable("", []string{"hit%", "transitions", "cover90", "expansion", "stubs"},
@@ -83,16 +82,19 @@ func BoundedCache(r *sweep.Runner, scale int) (Figure, error) {
 		for _, b := range benchesUsed {
 			prog := workloads.MustGet(b).Build(scale)
 			for _, sel := range []string{NET, LEIComb} {
-				res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{CacheLimitBytes: limit})
+				var flushes int
+				rep, err := r.Simulate(prog, sel, dynopt.Config{CacheLimitBytes: limit}, func(res dynopt.Result) {
+					flushes = res.Cache.Flushes()
+				})
 				if err != nil {
 					return Figure{}, err
 				}
 				if sel == NET {
-					netHit += res.Report.HitRate
-					netFlush += float64(res.Cache.Flushes())
+					netHit += rep.HitRate
+					netFlush += float64(flushes)
 				} else {
-					cleiHit += res.Report.HitRate
-					cleiFlush += float64(res.Cache.Flushes())
+					cleiHit += rep.HitRate
+					cleiFlush += float64(flushes)
 				}
 			}
 		}

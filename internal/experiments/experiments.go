@@ -12,9 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dynopt"
 	"repro/internal/metrics"
-	"repro/internal/program"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
@@ -105,21 +103,6 @@ func runGrid(r *sweep.Runner, g sweep.Grid) ([]metrics.Report, error) {
 		return nil, err
 	}
 	return reps, nil
-}
-
-// simulate runs p under a fresh sel selector built with params, and cfg's
-// other fields, through r's record-or-replay step (sweep.Runner.Simulate):
-// the first run of each program records it, and every later run of the
-// same program replays the recording. It serves the studies a grid cannot
-// express: those that read the run's Cache or Collector, set Preload or
-// ICache, or run programs the workload registry cannot name.
-func simulate(r *sweep.Runner, p *program.Program, sel string, params core.Params, cfg dynopt.Config) (dynopt.Result, error) {
-	s, err := NewSelector(sel, params)
-	if err != nil {
-		return dynopt.Result{}, err
-	}
-	cfg.Selector = s
-	return r.Simulate(p, cfg)
 }
 
 // RunAll simulates every SPEC-named benchmark under every selector — the

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/icache"
 	"repro/internal/stats"
@@ -24,13 +23,13 @@ func ICacheStudy(r *sweep.Runner, scale int) (Figure, error) {
 			if err != nil {
 				return Figure{}, err
 			}
-			res, err := simulate(r, workloads.MustGet(b).Build(scale), sel, core.DefaultParams(), dynopt.Config{ICache: ic})
+			rep, err := r.Simulate(workloads.MustGet(b).Build(scale), sel, dynopt.Config{ICache: ic}, nil)
 			if err != nil {
 				return Figure{}, err
 			}
 			misses += float64(ic.Misses())
 			accesses += float64(ic.Accesses())
-			cachedInstrs += float64(res.Report.CacheInstrs)
+			cachedInstrs += float64(rep.CacheInstrs)
 		}
 		mper1k := 0.0
 		if cachedInstrs > 0 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -24,13 +23,13 @@ func InputSensitivity(r *sweep.Runner, scale int) (Figure, error) {
 		for _, b := range workloads.SpecNames() {
 			prog := workloads.MustGet(b).BuildInput(scale, input)
 			for sel, a := range sums {
-				res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
+				rep, err := r.Simulate(prog, sel, dynopt.Config{}, nil)
 				if err != nil {
 					return Figure{}, fmt.Errorf("experiments: input %d, %s under %s: %w", input, b, sel, err)
 				}
-				a.trans += float64(res.Report.Transitions)
-				a.cover += float64(res.Report.CoverSet90)
-				a.hit += res.Report.HitRate
+				a.trans += float64(rep.Transitions)
+				a.cover += float64(rep.CoverSet90)
+				a.hit += rep.HitRate
 			}
 		}
 		t.Add(fmt.Sprintf("input %d", input),

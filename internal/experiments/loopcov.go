@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -22,11 +21,13 @@ func LoopCoverageStudy(r *sweep.Runner, scale int) (Figure, error) {
 		var hot, spanned, cached float64
 		for _, b := range workloads.SpecNames() {
 			prog := workloads.MustGet(b).Build(scale)
-			res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
+			var cov metrics.LoopCoverage
+			_, err := r.Simulate(prog, sel, dynopt.Config{}, func(res dynopt.Result) {
+				cov = metrics.AnalyzeLoopCoverage(prog, res.Cache, res.Collector, hotness)
+			})
 			if err != nil {
 				return Figure{}, err
 			}
-			cov := metrics.AnalyzeLoopCoverage(prog, res.Cache, res.Collector, hotness)
 			hot += float64(cov.HotLoops)
 			spanned += float64(cov.Spanned)
 			cached += float64(cov.HeaderCached)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/optimizer"
 	"repro/internal/stats"
@@ -24,11 +23,13 @@ func OptimizerStudy(r *sweep.Runner, scale int) (Figure, error) {
 		var regions, fall, slots, removed, inv, hoist float64
 		for _, b := range workloads.SpecNames() {
 			prog := workloads.MustGet(b).Build(scale)
-			res, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
+			var sum optimizer.Summary
+			_, err := r.Simulate(prog, sel, dynopt.Config{}, func(res dynopt.Result) {
+				sum = optimizer.Summarize(prog, res.Cache)
+			})
 			if err != nil {
 				return Figure{}, err
 			}
-			sum := optimizer.Summarize(prog, res.Cache)
 			regions += float64(sum.Regions)
 			fall += float64(sum.FallThroughs)
 			slots += float64(sum.PossibleFallEdges)

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"repro/internal/core"
+	"repro/internal/codecache"
 	"repro/internal/dynopt"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -22,19 +22,22 @@ func PersistentCache(r *sweep.Runner, scale int) (Figure, error) {
 		var coldHit, warmHit, coldInterp, warmInterp, warmRegions float64
 		for _, b := range workloads.SpecNames() {
 			prog := workloads.MustGet(b).Build(scale)
-			cold, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{})
+			var snap []codecache.RegionSnapshot
+			cold, err := r.Simulate(prog, sel, dynopt.Config{}, func(res dynopt.Result) {
+				snap = res.Cache.Snapshot()
+			})
 			if err != nil {
 				return Figure{}, err
 			}
-			warm, err := simulate(r, prog, sel, core.DefaultParams(), dynopt.Config{Preload: cold.Cache.Snapshot()})
+			warm, err := r.Simulate(prog, sel, dynopt.Config{Preload: snap}, nil)
 			if err != nil {
 				return Figure{}, err
 			}
-			coldHit += cold.Report.HitRate
-			warmHit += warm.Report.HitRate
-			coldInterp += float64(cold.Report.InterpBranches)
-			warmInterp += float64(warm.Report.InterpBranches)
-			warmRegions += float64(warm.Report.Regions - cold.Report.Regions)
+			coldHit += cold.HitRate
+			warmHit += warm.HitRate
+			coldInterp += float64(cold.InterpBranches)
+			warmInterp += float64(warm.InterpBranches)
+			warmRegions += float64(warm.Regions - cold.Regions)
 		}
 		t.Add(sel, 100*coldHit/n, 100*warmHit/n, coldInterp/n, warmInterp/n, warmRegions/n)
 	}

@@ -6,11 +6,12 @@
 // keyed by program content: the first run of a program records it live
 // with a tracestream.MemRecorder tapped off the VM (dynopt.Config.Tap), and
 // every later run of it replays the recorded arena (Corpus.Replay). Grid
-// cells — every cmd/sweep, sweepd and papertables run, the report-only
-// extension studies included — and Runner.Simulate callers (the extension
-// studies that read a run's Cache or Collector) take that one step
-// (simulate). A trace:<path> file is the same object read from disk, and
-// takes the same store with a decode in place of the recording.
+// cells — every cmd/sweep, sweepd and papertables run — and Runner.Simulate
+// calls take that one step (simulate) on a pooled shard, so every run in
+// internal/experiments, grid study or not, runs on a shard's warm scratch,
+// selectors and recording arena. A trace:<path> file is the same object
+// read from disk, and takes the same store with a decode in place of the
+// recording.
 // Memoization changes how jobs execute, never what they report. The live
 // reference is a one-byte budget (Options.MemoBudgetBytes = 1): the store
 // rejects every cell's first recording, so every job of the grid runs a
@@ -20,6 +21,7 @@ package sweep
 import (
 	"errors"
 
+	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
 	"repro/internal/program"
@@ -84,17 +86,36 @@ func (e *engine) Miss(shard *Shard, run runnable, job Job) (metrics.Report, erro
 	return shard.Replay(c, job)
 }
 
-// Simulate runs p under cfg through the engine's own cell step (simulate)
-// and returns the full result, Cache and Collector included: the first run
-// of a program records it, and every later run of the same program, under
-// any selector, cache bound, preload or i-cache, replays the recording.
-// cfg must leave VM and Tap unset, or Simulate fails: the recording assumes
-// the VM's default bounds, and a replay feeds no tap.
-func (r *Runner) Simulate(p *program.Program, cfg dynopt.Config) (dynopt.Result, error) {
-	if cfg.VM != (vm.Config{}) || cfg.Tap != nil {
-		return dynopt.Result{}, errors.New("sweep: Simulate takes no VM bounds or tap")
+// Simulate runs p under the selector named sel, at default parameters, and
+// cfg's cache bound, preload and i-cache, through the engine's own cell
+// step (simulate) on a pooled shard: the first run of a program records it,
+// and every later run of the same program, under any selector, cache bound,
+// preload or i-cache, replays the recording. read, when non-nil, receives
+// the full result, Cache and Collector included, before the shard goes back
+// to the pool; the result's state is the shard's and is not valid after
+// read returns. cfg must leave Selector, VM, Tap and Scratch unset, or
+// Simulate fails before it touches the store: the shard supplies the
+// selector and scratch, the recording assumes the VM's default bounds, and
+// a replay feeds no tap.
+func (r *Runner) Simulate(p *program.Program, sel string, cfg dynopt.Config, read func(dynopt.Result)) (metrics.Report, error) {
+	if cfg.Selector != nil || cfg.VM != (vm.Config{}) || cfg.Tap != nil || cfg.Scratch != nil {
+		return metrics.Report{}, errors.New("sweep: Simulate takes no selector, VM bounds, tap or scratch")
 	}
-	return simulate(r.ensureStore(0), tracestream.Key{Digest: p.Digest()}, p, cfg, new(tracestream.MemRecorder))
+	shard := acquireShard()
+	defer releaseShard(shard)
+	s, err := shard.selector(sel, core.Params{})
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	cfg.Selector, cfg.Scratch = s, &shard.scratch
+	res, err := simulate(r.ensureStore(0), tracestream.Key{Digest: p.Digest()}, p, cfg, &shard.rec)
+	if err != nil {
+		return metrics.Report{}, err
+	}
+	if read != nil {
+		read(res)
+	}
+	return res.Report, nil
 }
 
 // simulate is the one record-or-replay step: replay k's corpus when it is

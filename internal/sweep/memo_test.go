@@ -371,25 +371,27 @@ func TestMemoKeysByProgramContent(t *testing.T) {
 	}
 }
 
-// TestSimulateRejectsVMAndTap pins Simulate's contract: a cfg that sets VM
-// bounds or a tap fails before anything runs or records, since a replay
-// would ignore both; the same cfg without them runs.
+// TestSimulateRejectsVMAndTap pins Simulate's contract: a cfg that sets a
+// selector, VM bounds, a tap or a scratch fails before anything runs or
+// records, since the shard supplies the selector and scratch and a replay
+// would ignore the VM bounds and the tap; the same cfg without them runs.
 func TestSimulateRejectsVMAndTap(t *testing.T) {
 	r := NewRunner()
 	p := workloads.MustGet("gzip").Build(testScale)
 	for name, cfg := range map[string]dynopt.Config{
-		"vm":  {VM: vm.Config{MaxInstrs: 1 << 20}},
-		"tap": {Tap: tracestream.NewMemRecorder(p, "gzip", testScale)},
+		"selector": {Selector: core.NewNET(core.DefaultParams())},
+		"vm":       {VM: vm.Config{MaxInstrs: 1 << 20}},
+		"tap":      {Tap: tracestream.NewMemRecorder(p, "gzip", testScale)},
+		"scratch":  {Scratch: new(dynopt.Scratch)},
 	} {
-		cfg.Selector = core.NewNET(core.DefaultParams())
-		if _, err := r.Simulate(p, cfg); err == nil {
+		if _, err := r.Simulate(p, NET, cfg, nil); err == nil {
 			t.Errorf("%s: Simulate accepted the cfg", name)
 		}
 	}
 	if st := r.MemoStats(); st.Misses != 0 || st.Hits != 0 {
 		t.Errorf("rejected cfgs touched the store: %+v", st)
 	}
-	if _, err := r.Simulate(p, dynopt.Config{Selector: core.NewNET(core.DefaultParams())}); err != nil {
+	if _, err := r.Simulate(p, NET, dynopt.Config{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,12 +2,16 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dynopt"
+	"repro/internal/program"
+	"repro/internal/workloads"
 )
 
 // jsonlGrid renders a grid's results on a fresh Runner as the jsonl sink
@@ -123,5 +127,132 @@ func TestRejectedRecordingDropsArena(t *testing.T) {
 	}
 	if n := arena(); n != 0 {
 		t.Errorf("shard keeps a %d-byte arena after its recording was rejected", n)
+	}
+}
+
+// simulateCase is one Runner.Simulate call of the pool tests.
+type simulateCase struct {
+	prog *program.Program
+	sel  string
+	cfg  dynopt.Config
+}
+
+// simulateCases runs gzip and mcf under every paper selector, unbounded and
+// under a 400-byte cache bound, so the calls record both programs and replay
+// them under each selector and bound.
+func simulateCases() []simulateCase {
+	var cases []simulateCase
+	for _, w := range []string{"gzip", "mcf"} {
+		p := workloads.MustGet(w).Build(testScale)
+		for _, limit := range []int{0, 400} {
+			for _, sel := range PaperSelectors() {
+				cases = append(cases, simulateCase{p, sel, dynopt.Config{CacheLimitBytes: limit}})
+			}
+		}
+	}
+	return cases
+}
+
+// TestSimulateReplayAllocatesLittle pins that Simulate runs on a pooled
+// shard: after warm-up, replaying calls reuse the shard's scratch, selectors
+// and tables, so simulateReplays of them allocate under
+// simulateReplaySlackBytes in all: far below the 8 MiB of VM memory a fresh
+// dynopt.Scratch zeroes for a recording, and below the code cache,
+// collector and analyzer tables it builds for a replay.
+func TestSimulateReplayAllocatesLittle(t *testing.T) {
+	r := NewRunner()
+	cases := simulateCases()
+	for _, c := range cases { // record both programs, warm every selector
+		if _, err := r.Simulate(c.prog, c.sel, c.cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < simulateReplays; i++ {
+		c := cases[i%len(cases)]
+		if _, err := r.Simulate(c.prog, c.sel, c.cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	alloc := ms1.TotalAlloc - ms0.TotalAlloc
+	t.Logf("%d replaying Simulate calls allocated %d bytes", simulateReplays, alloc)
+	if st := r.MemoStats(); st.Misses != 2 || st.Hits != uint64(len(cases)+simulateReplays-2) {
+		t.Fatalf("stats = %+v, want 2 recordings and every other call a replay", st)
+	}
+	if alloc > simulateReplaySlackBytes {
+		t.Errorf("%d replaying Simulate calls allocated %d bytes, want at most %d",
+			simulateReplays, alloc, simulateReplaySlackBytes)
+	}
+}
+
+// simulateReplays is the number of measured calls in
+// TestSimulateReplayAllocatesLittle, and simulateReplaySlackBytes their
+// allocation bound. The calls measured 0–440 bytes in all, with and without
+// -race; a fresh dynopt.Scratch per call makes them allocate about 320 KB.
+const (
+	simulateReplays          = 32
+	simulateReplaySlackBytes = 16 << 10
+)
+
+// TestConcurrentSimulateMatchesSequential runs two goroutines' Simulate
+// calls on one Runner at the same time, so they race for the same programs'
+// recordings and take shards from the shared idle list concurrently
+// (check.sh runs it under -race). Each read callback checks the result's
+// Cache against its report, and each goroutine's reports must equal its
+// calls run alone.
+func TestConcurrentSimulateMatchesSequential(t *testing.T) {
+	cases := simulateCases()
+	run := func(r *Runner, reverse bool) ([]string, error) {
+		out := make([]string, len(cases))
+		for i := range cases {
+			j := i
+			if reverse {
+				j = len(cases) - 1 - i
+			}
+			c := cases[j]
+			rep, err := r.Simulate(c.prog, c.sel, c.cfg, func(res dynopt.Result) {
+				if got := res.Cache.NumRegions(); got != res.Report.Regions {
+					t.Errorf("%s: Cache holds %d regions, report says %d", c.sel, got, res.Report.Regions)
+				}
+			})
+			if err != nil {
+				return nil, err
+			}
+			b, err := json.Marshal(rep)
+			if err != nil {
+				return nil, err
+			}
+			out[j] = string(b)
+		}
+		return out, nil
+	}
+	want, err := run(NewRunner(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	var got [2][]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = run(r, g == 1)
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i := range want {
+			if got[g][i] != want[i] {
+				t.Errorf("goroutine %d, call %d (%s): report differs from the sequential run", g, i, cases[i].sel)
+			}
+		}
 	}
 }

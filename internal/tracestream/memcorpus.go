@@ -8,7 +8,7 @@ import (
 // MemRecorder captures a program's block-event stream straight into a dense
 // in-memory []vm.BlockEvent arena — no varint encoding, no disk round-trip,
 // no decode on replay. It implements vm.BlockSink, so it taps a live run via
-// dynopt's Config.Tap exactly like Recorder; Corpus then seals the arena
+// dynopt's Config.Tap exactly like an Encoder; Corpus then seals the arena
 // into a replay-ready MemCorpus, whose Corpus.Replay drives the simulator
 // from the events without running the VM. The sweep engine's memoization
 // layer (internal/sweep) records each program once this way and replays it

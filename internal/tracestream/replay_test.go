@@ -52,18 +52,19 @@ func TestReplayMatchesLive(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := dynopt.Config{Selector: sel}
-				var rec *tracestream.Recorder
+				var enc tracestream.Encoder
 				if i == 0 {
-					rec = tracestream.NewRecorder(prog, name, scale)
-					cfg.Tap = rec
+					cfg.Tap = &enc
 				}
 				live, err := dynopt.Run(prog, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rec != nil {
+				if i == 0 {
 					var buf bytes.Buffer
-					if err := rec.Finish(&buf, live.VMStats); err != nil {
+					h := tracestream.Header{Workload: name, Scale: scale, ProgramLen: prog.Len(),
+						ProgramDigest: prog.Digest(), Instrs: live.VMStats.Instrs, FinalPC: live.VMStats.FinalPC}
+					if _, err := enc.WriteTo(&buf, h); err != nil {
 						t.Fatal(err)
 					}
 					recorded = buf.Bytes()

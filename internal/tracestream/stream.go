@@ -140,10 +140,12 @@ func (e *Encoder) putU(v uint64) {
 	e.buf = append(e.buf, byte(v))
 }
 
-// AddBatch encodes a batch of block events in order.
+// BlockBatch implements vm.BlockSink, encoding a batch of block events in
+// order. An Encoder can therefore take a program's events straight from
+// vm.Machine.Run, or from a live simulation through dynopt's Config.Tap.
 //
 //lint:hotpath per-batch stream encoding (TestStreamCodecAllocFree)
-func (e *Encoder) AddBatch(events []vm.BlockEvent) {
+func (e *Encoder) BlockBatch(events []vm.BlockEvent) {
 	for i := range events {
 		ev := &events[i]
 		tag := uint64(0)
@@ -433,7 +435,7 @@ func DecodeBytes(data []byte) (*Stream, error) {
 // tooling).
 func Encode(s *Stream) []byte {
 	var e Encoder
-	e.AddBatch(s.Events)
+	e.BlockBatch(s.Events)
 	h := s.Header
 	h.Events = e.events
 	h.Branches = e.branches

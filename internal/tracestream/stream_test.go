@@ -6,6 +6,8 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dynopt"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -46,26 +48,29 @@ func TestRoundTripByteExact(t *testing.T) {
 	}
 }
 
-// TestRecorderMatchesRecord pins that tapping a recorder onto a live run
-// (the Config.Tap path drives BlockBatch directly) produces the same bytes
-// as the Record helper.
+// TestRecorderMatchesRecord pins that an Encoder tapped onto a live
+// simulation (dynopt's Config.Tap drives BlockBatch directly) produces the
+// same bytes as the Record helper.
 func TestRecorderMatchesRecord(t *testing.T) {
-	p := workloads.MustGet("fig3-nested-loops").Build(30)
-	rec := NewRecorder(p, "fig3-nested-loops", 30)
-	st, err := vm.Run(p, vm.Config{}, rec)
+	const name, scale = "fig3-nested-loops", 30
+	p := workloads.MustGet(name).Build(scale)
+	var enc Encoder
+	res, err := dynopt.Run(p, dynopt.Config{Selector: core.NewNET(core.DefaultParams()), Tap: &enc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tapped bytes.Buffer
-	if err := rec.Finish(&tapped, st); err != nil {
+	h := Header{Workload: name, Scale: scale, ProgramLen: p.Len(), ProgramDigest: p.Digest(),
+		Instrs: res.VMStats.Instrs, FinalPC: res.VMStats.FinalPC}
+	if _, err := enc.WriteTo(&tapped, h); err != nil {
 		t.Fatal(err)
 	}
 	var direct bytes.Buffer
-	if _, err := Record(p, "fig3-nested-loops", 30, vm.Config{}, &direct); err != nil {
+	if _, err := Record(p, name, scale, vm.Config{}, &direct); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tapped.Bytes(), direct.Bytes()) {
-		t.Fatal("recorder-as-sink and Record helper produced different streams")
+		t.Fatal("encoder tapped off a live simulation and Record helper produced different streams")
 	}
 }
 
@@ -175,10 +180,10 @@ func TestStreamCodecAllocFree(t *testing.T) {
 	}
 
 	var enc Encoder
-	enc.AddBatch(s.Events) // grow the buffer to the high-water mark
+	enc.BlockBatch(s.Events) // grow the buffer to the high-water mark
 	allocs := testing.AllocsPerRun(5, func() {
 		enc.Reset()
-		enc.AddBatch(s.Events)
+		enc.BlockBatch(s.Events)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state encode allocated %.1f times, want 0", allocs)
