@@ -214,10 +214,11 @@ func BenchmarkSummary(b *testing.B) {
 // four paper selectors and adaptive), reporting normalized throughput (ns
 // per simulated instruction) and allocation pressure (heap bytes per
 // simulated instruction). RunAll builds a fresh sweep Runner with
-// memoization on, so each iteration is a live/replay mix, not a live
-// matrix: the first job of each workload records its run live and the
-// other four replay the recording. The numbers in docs/PERFORMANCE.md and
-// BENCH_pipeline.json come from this benchmark via scripts/bench.sh.
+// memoization on, so each iteration records and replays, not a live
+// matrix: the first job of each workload interprets the program once into
+// a recording, with no simulator attached, and all five jobs replay it.
+// The numbers in docs/PERFORMANCE.md and BENCH_pipeline.json come from
+// this benchmark via scripts/bench.sh.
 func BenchmarkPipeline(b *testing.B) {
 	var ms0, ms1 runtime.MemStats
 	var instrs uint64
@@ -382,7 +383,7 @@ func BenchmarkSimulator(b *testing.B) {
 			prog := workloads.MustGet("gcc").Build(100)
 			var instrs uint64
 			for i := 0; i < b.N; i++ {
-				s, err := experiments.NewSelector(sel, core.DefaultParams())
+				s, err := sweep.NewSelector(sel, core.DefaultParams())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -631,11 +632,12 @@ func BenchmarkCombine(b *testing.B) {
 // selectors × points jobs. memo=rejected runs the grid under a one-byte
 // corpus budget: the store rejects each cell's first recording, so every
 // job interprets live — the live reference the sweep engine keeps for
-// tests and CI. memo=on pays one recorded live run per cell (a fresh
-// Runner per iteration keeps that cost in the measurement) and replays the
-// rest from the in-memory corpus. Both run on shards warm from the
-// process-wide pool, so neither pays for a fresh VM memory image per
-// iteration. The jobs/s ratio between the two sub-benchmarks is the
+// tests and CI; each cell's first job also pays the rejected recording, so
+// it interprets the program twice. memo=on pays one interpretation per
+// cell, with no simulator attached (a fresh Runner per iteration keeps
+// that cost in the measurement), and replays every job from the in-memory
+// corpus. Both run on shards warm from the process-wide pool, so neither
+// pays for a fresh VM memory image per iteration. The jobs/s ratio between the two sub-benchmarks is the
 // memoization speedup claimed in docs/PERFORMANCE.md — it grows with
 // jobs-per-cell and with the live/replay cost ratio of the workload
 // (interpretation-heavy cells like bzip2 and mcf replay ~4× cheaper;

@@ -118,10 +118,9 @@ type Region struct {
 	// ExecInstrs counts instructions executed inside the region.
 	ExecInstrs uint64
 
-	// byStart maps block start -> index within this region only: a handful
-	// of entries, recycled with the region through the free list.
-	//lint:ignore densemap per-region block index, bounded by MaxTraceBlocks
-	byStart      map[isa.Addr]int
+	// index maps block start -> index within this region only, recycled
+	// with the region through the free list.
+	index        blockIndex
 	blockByteOff []int // byte offset of each block in the region image
 	blockBytes   []int // encoded byte size of each block
 }
@@ -137,16 +136,77 @@ func (r *Region) BlockBytes(i int) int { return r.blockBytes[i] }
 func (r *Region) NumBlocks() int { return len(r.Blocks) }
 
 // BlockIndex returns the index of the block starting at addr, or -1.
-func (r *Region) BlockIndex(addr isa.Addr) int {
-	i, ok := r.byStart[addr]
-	if !ok {
-		return -1
-	}
-	return i
-}
+func (r *Region) BlockIndex(addr isa.Addr) int { return r.index.find(addr) }
 
 // Contains reports whether the region includes the block starting at addr.
 func (r *Region) Contains(addr isa.Addr) bool { return r.BlockIndex(addr) >= 0 }
+
+// blockIndex maps the block starts of one region to their indices: a flat
+// open-addressed table with linear probing, a power of two at least twice
+// the block count in size, so a lookup is one multiplicative hash and,
+// almost always, one or two slot reads. Block starts are unique within a
+// region (Insert rejects duplicates while it fills the table).
+type blockIndex struct {
+	slots []indexSlot
+	shift uint8 // 32 - log2(len(slots)): keeps the hash's top bits
+}
+
+// indexSlot is one slot of a blockIndex. pos is the block's index plus one;
+// zero marks an empty slot.
+type indexSlot struct {
+	start isa.Addr
+	pos   int32
+}
+
+// reset empties the table and sizes it for n blocks, reusing its backing
+// array when that is large enough.
+func (x *blockIndex) reset(n int) {
+	size, bits := 2, uint8(1)
+	for size < 2*n {
+		size <<= 1
+		bits++
+	}
+	if cap(x.slots) >= size {
+		x.slots = x.slots[:size]
+		clear(x.slots)
+	} else {
+		x.slots = make([]indexSlot, size)
+	}
+	x.shift = 32 - bits
+}
+
+// add records that the block at start has index i, and reports false,
+// leaving the table unchanged, when start is already present.
+func (x *blockIndex) add(start isa.Addr, i int) bool {
+	s := &x.slots[x.probe(start)]
+	if s.pos != 0 {
+		return false
+	}
+	*s = indexSlot{start: start, pos: int32(i + 1)}
+	return true
+}
+
+// find returns the index of the block starting at addr, or -1: an absent
+// addr probes to an empty slot, whose pos is zero. A table that was never
+// filled (a Region built by literal) finds nothing.
+func (x *blockIndex) find(addr isa.Addr) int {
+	if len(x.slots) == 0 {
+		return -1
+	}
+	return int(x.slots[x.probe(addr)].pos) - 1
+}
+
+// probe returns the slot holding addr or, when addr is absent, the empty
+// slot that ends its probe sequence; a table at most half full always has
+// one. The first slot is a Fibonacci hash, so nearby starts spread out.
+func (x *blockIndex) probe(addr isa.Addr) int {
+	mask := len(x.slots) - 1
+	h := int(uint32(addr) * 0x9E3779B1 >> x.shift)
+	for x.slots[h].pos != 0 && x.slots[h].start != addr {
+		h = (h + 1) & mask
+	}
+	return h
+}
 
 // entryCell is one slot of the dense entry table. A cell names a live
 // region only when its epoch matches the cache's current epoch, so Reset
@@ -194,10 +254,6 @@ type Cache struct {
 	// evicted regions do not allocate; its contents are rebuilt on every
 	// call, so only capacity carries information across runs.
 	allScratch []*Region
-	// seen is validate's duplicate-block scratch, reused across insertions.
-	//lint:keep validate's scratch; nil-checked and cleared before every use
-	//lint:ignore densemap per-insert duplicate set, bounded by MaxTraceBlocks
-	seen map[isa.Addr]bool
 }
 
 // New returns an empty, unbounded cache for the program.
@@ -292,24 +348,18 @@ func (c *Cache) ContainsInstr(addr isa.Addr) bool {
 }
 
 // newRegion returns a zeroed region, recycled from the free list when one
-// is available (the blocks, adjacency, offset tables, and index map keep
+// is available (the blocks, adjacency, offset tables, and block index keep
 // their backing storage, so steady-state insertion on a pooled cache does
-// not allocate).
+// not allocate; Succs' inner []int headers stay live in its backing array).
 func (c *Cache) newRegion() *Region {
 	if n := len(c.free); n > 0 {
 		r := c.free[n-1]
 		c.free = c.free[:n-1]
-		blocks := r.Blocks[:0]
-		succs := r.Succs[:0] // inner []int headers stay live in the backing array
-		offs := r.blockByteOff[:0]
-		bytes := r.blockBytes[:0]
-		byStart := r.byStart
-		clear(byStart)
-		*r = Region{Blocks: blocks, Succs: succs, blockByteOff: offs, blockBytes: bytes, byStart: byStart}
+		*r = Region{Blocks: r.Blocks[:0], Succs: r.Succs[:0], blockByteOff: r.blockByteOff[:0],
+			blockBytes: r.blockBytes[:0], index: r.index}
 		return r
 	}
-	//lint:ignore densemap per-region block index, bounded by MaxTraceBlocks
-	return &Region{byStart: make(map[isa.Addr]int)}
+	return new(Region)
 }
 
 // Insert validates spec, computes its stub and size accounting, installs it,
@@ -318,18 +368,18 @@ func (c *Cache) newRegion() *Region {
 //
 //lint:hotpath steady-state insertions recycle pooled regions
 func (c *Cache) Insert(spec Spec) (*Region, error) {
-	if err := c.validate(spec); err != nil {
+	r := c.newRegion()
+	if err := c.validate(spec, &r.index); err != nil {
+		c.free = append(c.free, r)
 		return nil, err
 	}
-	r := c.newRegion()
 	r.Kind = spec.Kind
 	r.Entry = spec.Entry
 	r.Blocks = append(r.Blocks, spec.Blocks...)
 	r.Cyclic = spec.Cyclic
 	r.SelectedSeq = c.seq
 	c.seq++
-	for i, b := range r.Blocks {
-		r.byStart[b.Start] = i
+	for _, b := range r.Blocks {
 		r.Instrs += b.Len
 		bb := c.prog.RangeBytes(b.Start, b.Start+isa.Addr(b.Len))
 		r.blockByteOff = append(r.blockByteOff, r.CodeBytes)
@@ -366,7 +416,10 @@ func (c *Cache) Insert(spec Spec) (*Region, error) {
 	return r, nil
 }
 
-func (c *Cache) validate(spec Spec) error {
+// validate checks spec against the program and the cache, filling index
+// with its blocks as it goes: the table that detects a duplicate block is
+// the one the region keeps.
+func (c *Cache) validate(spec Spec, index *blockIndex) error {
 	if spec.Kind > KindMultipath {
 		return fmt.Errorf("codecache: unknown region kind %d", spec.Kind)
 	}
@@ -379,23 +432,17 @@ func (c *Cache) validate(spec Spec) error {
 	if c.HasEntry(spec.Entry) {
 		return fmt.Errorf("codecache: region with entry %d already cached", spec.Entry)
 	}
-	if c.seen == nil {
-		//lint:ignore densemap per-insert duplicate set, bounded by MaxTraceBlocks
-		c.seen = make(map[isa.Addr]bool, len(spec.Blocks))
-	} else {
-		clear(c.seen)
-	}
-	for _, b := range spec.Blocks {
+	index.reset(len(spec.Blocks))
+	for i, b := range spec.Blocks {
 		if !c.prog.IsBlockStart(b.Start) {
 			return fmt.Errorf("codecache: block %d is not a program block leader", b.Start)
 		}
 		if got := c.prog.BlockLen(b.Start); got != b.Len {
 			return fmt.Errorf("codecache: block %d has length %d, program says %d", b.Start, b.Len, got)
 		}
-		if c.seen[b.Start] {
+		if !index.add(b.Start, i) {
 			return fmt.Errorf("codecache: duplicate block %d in region", b.Start)
 		}
-		c.seen[b.Start] = true
 	}
 	if spec.Kind == KindMultipath {
 		if len(spec.Succs) != len(spec.Blocks) {

@@ -38,8 +38,8 @@ type RefSimulator struct {
 }
 
 // NewRefSimulator prepares a reference run of p under cfg. It honors the
-// Selector, CacheLimitBytes, Preload, ICache and Tracer fields; Scratch and
-// Tap are dynopt's pooling and recording hooks and are ignored.
+// Selector, CacheLimitBytes, Preload, ICache and Tracer fields; Scratch is
+// dynopt's pooling hook and is ignored.
 func NewRefSimulator(p *program.Program, cfg dynopt.Config) (*RefSimulator, error) {
 	if cfg.Selector == nil {
 		return nil, errors.New("difftest: no selector configured")

@@ -68,7 +68,7 @@ func walkConfigs(t testing.TB, sel, refSel core.Selector, v walkVariant, snap []
 }
 
 // diffWalk runs p live through the production simulator and the reference
-// under one selector and variant, then replays the live run's recording
+// under one selector and variant, then replays the program's recording
 // through both as one whole slice, without and with its repeat list, and
 // requires identical results, i-cache traffic and tracer sequences each
 // time. It adds the events the repeat-list replay skipped to skipped.
@@ -86,7 +86,11 @@ func diffWalk(t testing.TB, p *program.Program, newSel func() core.Selector, v w
 	log, refLog := &TraceLog{}, &TraceLog{}
 	cfg.Tracer, refCfg.Tracer = log, refLog
 	rec := tracestream.NewMemRecorder(p, "walk", 0)
-	cfg.Tap = rec
+	cfg.Scratch = new(dynopt.Scratch)
+	st, err := dynopt.Record(p, cfg.VM, cfg.Scratch, rec)
+	if err != nil {
+		return fmt.Errorf("record: %w", err)
+	}
 	got, err := dynopt.Run(p, cfg)
 	if err != nil {
 		return fmt.Errorf("walk: %w", err)
@@ -107,7 +111,7 @@ func diffWalk(t testing.TB, p *program.Program, newSel func() core.Selector, v w
 
 	// The recording replayed in one batch must match too: live batches end
 	// every 1024 events, a replay never does.
-	c := rec.Corpus(got.VMStats)
+	c := rec.Corpus(st)
 	h := c.Header()
 	cfg, refCfg, checkIC = walkConfigs(t, newSel(), newSel(), v, snap)
 	got, err = dynopt.RunEvents(p, cfg, c.Stream.Events, h.FinalPC, h.Instrs)

@@ -45,12 +45,6 @@ type Config struct {
 	// enters, exits, transitions, selections) for debugging and timeline
 	// tooling. It must not mutate simulator state.
 	Tracer Tracer
-	// Tap, when set, receives a copy of the live run's block-event stream
-	// alongside the simulator (via vm.Tee) — the recording hook: a
-	// tracestream.Encoder or MemRecorder tapped here captures the exact
-	// stream that produced the run's report, with no second interpretation. Only Run
-	// consults it; the stream-driven entry points have the stream already.
-	Tap vm.BlockSink
 	// Scratch holds the run's state — interpreter, simulator, metrics
 	// collector, code cache, and report analyzer. Setting the same Scratch
 	// on back-to-back runs pools that state across them; nil runs on a
@@ -69,7 +63,7 @@ type Config struct {
 // Every component field must be re-armed on the reuse path — scratchclean
 // machine-checks that (docs/LINTING.md).
 //
-//lint:pooled components re-armed in NewSimulator/Run/analyzeRun/repeatPeriod
+//lint:pooled components re-armed in NewSimulator/Record/analyzeRun/repeatPeriod
 type Scratch struct {
 	machine  vm.Machine
 	col      metrics.Collector
@@ -311,7 +305,7 @@ func (s *Simulator) transfer(src, tgt isa.Addr, taken bool, kind vm.BranchKind) 
 // ends first). Each event completes the region block at the current index
 // and steps it — to the next chain block or, on a taken branch to the
 // entry, back to the head for a trace; to any member block for a multipath
-// region (its listed successors first, the block index as fallback). A
+// region, found by one probe of the region's block index. A
 // step that leaves the region and lands on another region's entry is a
 // linked transition and keeps the walk going; only a target with no cached
 // entry is a real exit, which the selector hears about.
@@ -345,24 +339,12 @@ func (s *Simulator) walk(events []vm.BlockEvent, i int) int {
 				cycles++
 				continue
 			}
-		} else {
-			next := -1
-			for _, sx := range r.Succs[idx] {
-				if r.Blocks[sx].Start == tgt {
-					next = sx
-					break
-				}
+		} else if next := r.BlockIndex(tgt); next >= 0 {
+			if ev.Taken && tgt == r.Entry {
+				cycles++
 			}
-			if next < 0 {
-				next = r.BlockIndex(tgt)
-			}
-			if next >= 0 {
-				if ev.Taken && tgt == r.Entry {
-					cycles++
-				}
-				idx = next
-				continue
-			}
+			idx = next
+			continue
 		}
 		// Control leaves r: one more traversal ends here.
 		s.settle(r, instrs, cycles+1, cycles)
@@ -474,13 +456,27 @@ func Run(p *program.Program, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	machine := &sim.scratch.machine
-	machine.Load(p, cfg.VM)
-	st, err := machine.Run(vm.Tee(sim, cfg.Tap))
+	st, err := Record(p, cfg.VM, sim.scratch, sim)
 	if err != nil {
-		return Result{}, fmt.Errorf("dynopt: interpreting program: %w", err)
+		return Result{}, err
 	}
 	return endRun(sim, cfg, st)
+}
+
+// Record interprets p to completion under vmCfg on sc's machine (a fresh
+// Scratch's when sc is nil) and delivers its block-event stream to sink
+// alone: no simulator runs. It is the recording step of a record-then-replay
+// run, and Run's interpretation step, so a VM error reads the same from both.
+func Record(p *program.Program, vmCfg vm.Config, sc *Scratch, sink vm.BlockSink) (vm.Stats, error) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.machine.Load(p, vmCfg)
+	st, err := sc.machine.Run(sink)
+	if err != nil {
+		return vm.Stats{}, fmt.Errorf("dynopt: interpreting program: %w", err)
+	}
+	return st, nil
 }
 
 // RunEvents drives the simulator from a fully decoded block-event stream —

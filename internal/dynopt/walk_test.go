@@ -62,11 +62,11 @@ func TestBatchSplitsAgree(t *testing.T) {
 	for _, name := range workloads.Names() {
 		prog := workloads.MustGet(name).Build(120)
 		rec := tracestream.NewMemRecorder(prog, name, 120)
-		live, err := dynopt.Run(prog, dynopt.Config{Selector: core.NewNET(core.DefaultParams()), Tap: rec})
+		st, err := dynopt.Record(prog, vm.Config{}, nil, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := rec.Corpus(live.VMStats)
+		c := rec.Corpus(st)
 		h := c.Header()
 		events := c.Stream.Events
 		for _, newSel := range difftest.Selectors(core.DefaultParams()) {
@@ -95,9 +95,10 @@ func TestBatchSplitsAgree(t *testing.T) {
 
 // TestMultipathWalkFallsBackToBlockIndex pins the multipath step for
 // transfers the listed successors do not name: any member block keeps
-// control in the region. Every region of a warm NET run is preloaded as a
-// multipath region with no listed successors, so each in-region step takes
-// the block-index fallback, and the result must match the reference's.
+// control in the region, since the step probes the block index, not the
+// successor lists. Every region of a warm NET run is preloaded as a
+// multipath region with no listed successors, and the result must match
+// the reference's.
 func TestMultipathWalkFallsBackToBlockIndex(t *testing.T) {
 	for _, name := range workloads.Names() {
 		prog := workloads.MustGet(name).Build(120)

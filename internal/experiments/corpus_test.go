@@ -23,7 +23,7 @@ func TestRandomCorpusOrderings(t *testing.T) {
 			Iters: 300, Constructs: 4 + i%4,
 		})
 		for _, sel := range []string{NET, LEI} {
-			s, err := NewSelector(sel, core.DefaultParams())
+			s, err := sweep.NewSelector(sel, core.DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestBoundedCacheHitRateAdvantage(t *testing.T) {
 	// NET on a multi-loop workload — the §2.3 prediction.
 	prog := workloads.MustGet("gcc").Build(300)
 	run := func(sel string) float64 {
-		s, err := NewSelector(sel, core.DefaultParams())
+		s, err := sweep.NewSelector(sel, core.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestInputSensitivityHolds(t *testing.T) {
 			w := workloads.MustGet(b)
 			prog := w.BuildInput(smallScale, input)
 			for _, sel := range []string{NET, LEI} {
-				s, err := NewSelector(sel, core.DefaultParams())
+				s, err := sweep.NewSelector(sel, core.DefaultParams())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -45,11 +45,6 @@ const (
 // RelatedSelectors returns the §5 comparison set.
 func RelatedSelectors() []string { return []string{NET, MojoNET, BOA, WRS, LEI} }
 
-// NewSelector builds a fresh selector for one run.
-func NewSelector(name string, params core.Params) (core.Selector, error) {
-	return sweep.NewSelector(name, params)
-}
-
 // Results holds one report per (benchmark, selector).
 type Results struct {
 	// Scale is the workload scale multiplier used (0 = defaults).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // smallScale keeps the full 12x4 matrix fast in tests while still being
@@ -68,12 +69,12 @@ func TestRunAllDeterministic(t *testing.T) {
 
 func TestNewSelector(t *testing.T) {
 	for _, name := range AllSelectors() {
-		s, err := NewSelector(name, core.DefaultParams())
+		s, err := sweep.NewSelector(name, core.DefaultParams())
 		if err != nil || s.Name() != name {
 			t.Errorf("NewSelector(%s) = %v, %v", name, s, err)
 		}
 	}
-	if _, err := NewSelector("bogus", core.DefaultParams()); err == nil {
+	if _, err := sweep.NewSelector("bogus", core.DefaultParams()); err == nil {
 		t.Error("bogus selector accepted")
 	}
 }

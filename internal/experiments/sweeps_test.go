@@ -240,7 +240,7 @@ func TestICacheOrdering(t *testing.T) {
 		var misses, instrs float64
 		for _, b := range workloads.SpecNames() {
 			prog := workloads.MustGet(b).Build(0)
-			s, err := NewSelector(sel, core.DefaultParams())
+			s, err := sweep.NewSelector(sel, core.DefaultParams())
 			if err != nil {
 				t.Fatal(err)
 			}

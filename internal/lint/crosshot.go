@@ -54,7 +54,6 @@ func CrossHot(cfg CrossHotConfig) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "crosshot",
-		Doc:  "flag hot calls into unannotated, not provably allocation-free functions of other packages",
 	}
 	a.RunModule = func(pass *ModulePass) {
 		g := pass.Graph()

@@ -35,7 +35,6 @@ func DenseMap(cfg DenseMapConfig) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "densemap",
-		Doc:  "flag integer-keyed map state in hot packages where dense slices are the policy",
 	}
 	a.Run = func(pass *Pass) {
 		if !hot[pass.Path] {

@@ -45,7 +45,6 @@ type epochTrio struct {
 func EpochGuard() *Analyzer {
 	a := &Analyzer{
 		Name: "epochguard",
-		Doc:  "enforce the epoch-guarded-table idiom: stamped reads, bump-based clears",
 	}
 	a.RunModule = func(pass *ModulePass) { runEpochGuard(pass) }
 	return a

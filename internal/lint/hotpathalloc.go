@@ -27,7 +27,6 @@ import (
 func HotPathAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
-		Doc:  "flag heap-allocating constructs in //lint:hotpath functions and dominated callees",
 	}
 	a.RunModule = func(pass *ModulePass) {
 		for _, n := range pass.Graph().NodeList() {

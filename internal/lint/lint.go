@@ -20,7 +20,6 @@ import (
 // may retain its pass.
 type Analyzer struct {
 	Name      string
-	Doc       string
 	Run       func(*Pass)
 	RunModule func(*ModulePass)
 }

@@ -17,7 +17,6 @@ import (
 func ResetClean() *Analyzer {
 	a := &Analyzer{
 		Name: "resetclean",
-		Doc:  "verify Reset methods touch every struct field or annotate it //lint:keep",
 	}
 	a.Run = func(pass *Pass) { runResetClean(pass) }
 	return a

@@ -35,7 +35,6 @@ type pooledField struct {
 func ScratchClean() *Analyzer {
 	a := &Analyzer{
 		Name: "scratchclean",
-		Doc:  "every component field of an //lint:pooled struct is re-armed on some reuse path",
 	}
 	a.RunModule = func(pass *ModulePass) { runScratchClean(pass) }
 	return a

@@ -3,19 +3,21 @@
 // never perturb it — and replaying a recorded stream produces
 // byte-identical reports at a fraction of live interpretation cost. The
 // Runner folds that in through its one corpus store (tracestream.Store),
-// keyed by program content: the first run of a program records it live
-// with a tracestream.MemRecorder tapped off the VM (dynopt.Config.Tap), and
-// every later run of it replays the recorded arena (Corpus.Replay). Grid
-// cells — every cmd/sweep, sweepd and papertables run — and Runner.Simulate
-// calls take that one step (simulate) on a pooled shard, so every run in
-// internal/experiments, grid study or not, runs on a shard's warm scratch,
-// selectors and recording arena. A trace:<path> file is the same object
+// keyed by program content: the first run of a program interprets it once
+// into a tracestream.MemRecorder, with no simulator attached
+// (dynopt.Record), and that run and every later run of the program replay
+// the recorded arena (Corpus.Replay). Grid cells — every cmd/sweep, sweepd
+// and papertables run — and Runner.Simulate calls take that one step
+// (simulate) on a pooled shard, so every run in internal/experiments, grid
+// study or not, runs on a shard's warm scratch, selectors and recording
+// arena. A trace:<path> file is the same object
 // read from disk, and takes the same store with a decode in place of the
 // recording.
 // Memoization changes how jobs execute, never what they report. The live
 // reference is a one-byte budget (Options.MemoBudgetBytes = 1): the store
-// rejects every cell's first recording, so every job of the grid runs a
-// live dynopt.Run (TestSweepMemoMatchesOff pins the byte-identity).
+// rejects every cell's recording, so every job of the grid runs a live
+// dynopt.Run, a cell's first job after the rejected recording
+// (TestSweepMemoMatchesOff pins the byte-identity).
 package sweep
 
 import (
@@ -93,13 +95,12 @@ func (e *engine) Miss(shard *Shard, run runnable, job Job) (metrics.Report, erro
 // preload or i-cache, replays the recording. read, when non-nil, receives
 // the full result, Cache and Collector included, before the shard goes back
 // to the pool; the result's state is the shard's and is not valid after
-// read returns. cfg must leave Selector, VM, Tap and Scratch unset, or
-// Simulate fails before it touches the store: the shard supplies the
-// selector and scratch, the recording assumes the VM's default bounds, and
-// a replay feeds no tap.
+// read returns. cfg must leave Selector, VM and Scratch unset, or Simulate
+// fails before it touches the store: the shard supplies the selector and
+// scratch, and the recording assumes the VM's default bounds.
 func (r *Runner) Simulate(p *program.Program, sel string, cfg dynopt.Config, read func(dynopt.Result)) (metrics.Report, error) {
-	if cfg.Selector != nil || cfg.VM != (vm.Config{}) || cfg.Tap != nil || cfg.Scratch != nil {
-		return metrics.Report{}, errors.New("sweep: Simulate takes no selector, VM bounds, tap or scratch")
+	if cfg.Selector != nil || cfg.VM != (vm.Config{}) || cfg.Scratch != nil {
+		return metrics.Report{}, errors.New("sweep: Simulate takes no selector, VM bounds or scratch")
 	}
 	shard := acquireShard()
 	defer releaseShard(shard)
@@ -119,18 +120,21 @@ func (r *Runner) Simulate(p *program.Program, sel string, cfg dynopt.Config, rea
 }
 
 // simulate is the one record-or-replay step: replay k's corpus when it is
-// resident; when the caller claims k, run p live with rec tapped off the VM
-// and admit the recording; otherwise (another caller holds the claim, or
-// the budget rejected the corpus) run p live without blocking. The result
-// is identical on every branch, so a first-touch race costs only the
-// replay opportunity, never correctness.
+// resident; when the caller claims k, interpret p alone into rec
+// (dynopt.Record), admit the recording and replay it; otherwise (another
+// caller holds the claim, or the budget rejected the corpus) run p live
+// without blocking. The result is identical on every branch, so a
+// first-touch race costs only the replay opportunity, never correctness. A
+// VM error abandons the claim and reads as dynopt.Run's.
 //
 // rec is reset for the recording and keeps its arena afterwards: the
 // engine passes its shard's recorder, so a shard records into an arena an
-// earlier recording already grew, and the corpus costs one exact-size copy.
-// A recording the store rejects as larger than its whole budget drops the
-// arena, so a shard keeps no arena grown for a recording that no store
-// had room for.
+// earlier recording already grew, and the corpus costs one copy.
+// A recording the store rejects as larger than its whole budget (judged by
+// its events alone before the seal, so such a corpus is never built) drops
+// the arena, so a shard keeps no arena grown for a recording that no store
+// had room for, and its job runs live: that keeps a one-byte budget the
+// live reference.
 //
 //lint:hotpath memoized replay (TestShardMemoAllocFree)
 func simulate(store *tracestream.Store, k tracestream.Key, p *program.Program, cfg dynopt.Config, rec *tracestream.MemRecorder) (dynopt.Result, error) {
@@ -145,14 +149,17 @@ func simulate(store *tracestream.Store, k tracestream.Key, p *program.Program, c
 		return dynopt.Run(p, cfg)
 	}
 	rec.Reset(p, "", 0)
-	cfg.Tap = rec
-	res, err := dynopt.Run(p, cfg)
+	st, err := dynopt.Record(p, cfg.VM, cfg.Scratch, rec)
 	if err != nil {
 		store.Abandon(k)
 		return dynopt.Result{}, err
 	}
-	if !store.Admit(k, &rec.Corpus(res.VMStats).Corpus) {
-		*rec = tracestream.MemRecorder{}
+	if !store.Reject(k, rec.EventBytes()) {
+		c = &rec.Corpus(st).Corpus
+		if store.Admit(k, c) {
+			return c.Replay(cfg)
+		}
 	}
-	return res, nil
+	*rec = tracestream.MemRecorder{}
+	return dynopt.Run(p, cfg)
 }

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dynopt"
+	"repro/internal/isa"
+	"repro/internal/program"
 	"repro/internal/tracestream"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -372,16 +374,15 @@ func TestMemoKeysByProgramContent(t *testing.T) {
 }
 
 // TestSimulateRejectsVMAndTap pins Simulate's contract: a cfg that sets a
-// selector, VM bounds, a tap or a scratch fails before anything runs or
-// records, since the shard supplies the selector and scratch and a replay
-// would ignore the VM bounds and the tap; the same cfg without them runs.
+// selector, VM bounds or a scratch fails before anything runs or records,
+// since the shard supplies the selector and scratch and a replay would
+// ignore the VM bounds; the same cfg without them runs.
 func TestSimulateRejectsVMAndTap(t *testing.T) {
 	r := NewRunner()
 	p := workloads.MustGet("gzip").Build(testScale)
 	for name, cfg := range map[string]dynopt.Config{
 		"selector": {Selector: core.NewNET(core.DefaultParams())},
 		"vm":       {VM: vm.Config{MaxInstrs: 1 << 20}},
-		"tap":      {Tap: tracestream.NewMemRecorder(p, "gzip", testScale)},
 		"scratch":  {Scratch: new(dynopt.Scratch)},
 	} {
 		if _, err := r.Simulate(p, NET, cfg, nil); err == nil {
@@ -393,5 +394,70 @@ func TestSimulateRejectsVMAndTap(t *testing.T) {
 	}
 	if _, err := r.Simulate(p, NET, dynopt.Config{}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCellVMErrorAbandonsClaim pins the recording step's failure path: a
+// cell whose program fails in the VM returns dynopt.Run's exact error text,
+// abandons its claim, so the next job of the cell claims and records again
+// instead of falling back, and leaves nothing resident.
+func TestCellVMErrorAbandonsClaim(t *testing.T) {
+	p, err := program.New([]isa.Instr{{Op: isa.Ret}, {Op: isa.Halt}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := dynopt.Run(p, dynopt.Config{Selector: core.NewNET(core.DefaultParams())})
+	if want == nil {
+		t.Fatal("the program ran without a VM error")
+	}
+	e := &engine{runner: NewRunner()}
+	e.store = e.runner.ensureStore(0)
+	shard := NewShard()
+	run := runnable{prog: p, key: tracestream.Key{Digest: p.Digest()}}
+	job := Job{Workload: "ret", Selector: NET, Params: core.DefaultParams()}
+	for i := 0; i < 2; i++ {
+		if _, err := e.dispatch(shard, run, job); err == nil || err.Error() != want.Error() {
+			t.Fatalf("job %d: err = %v, want %q", i, err, want)
+		}
+	}
+	if st := e.store.Stats(); st.Misses != 2 || st.Fallbacks != 0 || st.Resident != 0 {
+		t.Errorf("stats = %+v, want 2 claimed misses, no fallback, nothing resident", st)
+	}
+}
+
+// TestRejectedCellRunsLive pins what a rejected recording leaves its job: a
+// live run, not a replay of the corpus the store refused. Under a one-byte
+// budget (refused before the seal) and under a budget of exactly its
+// events' bytes (the sealed corpus, with its edge table, refused by Admit)
+// eon's NET run skips no repeated period (only a replay can), while under
+// the default budget its replay skips some; all report the same.
+func TestRejectedCellRunsLive(t *testing.T) {
+	p := workloads.MustGet("eon").Build(testScale)
+	skipped := func(budget int64) (uint64, string) {
+		r := NewRunner()
+		r.ensureStore(budget)
+		var n uint64
+		rep, err := r.Simulate(p, NET, dynopt.Config{}, func(res dynopt.Result) { n = res.Collector.SkippedEvents })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, memoJSON(t, rep)
+	}
+	rec := tracestream.NewMemRecorder(p, "", 0)
+	if _, err := vm.Run(p, vm.Config{}, rec); err != nil {
+		t.Fatal(err)
+	}
+	replayed, replayRep := skipped(0)
+	if replayed == 0 {
+		t.Errorf("skipped events: %d replayed, want > 0", replayed)
+	}
+	for _, budget := range []int64{1, rec.EventBytes()} {
+		live, liveRep := skipped(budget)
+		if live != 0 {
+			t.Errorf("budget %d: %d skipped events, want 0 (a live run)", budget, live)
+		}
+		if liveRep != replayRep {
+			t.Errorf("budget %d: rejected cell reports\n%s\nreplayed cell\n%s", budget, liveRep, replayRep)
+		}
 	}
 }

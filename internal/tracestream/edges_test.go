@@ -35,11 +35,15 @@ func TestCorpusEdgesMatchLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := tracestream.NewMemRecorder(prog, name, scale)
-			live, err := dynopt.Run(prog, dynopt.Config{Selector: sel, Tap: rec})
+			st, err := vm.Run(prog, vm.Config{}, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mem := rec.Corpus(live.VMStats)
+			mem := rec.Corpus(st)
+			live, err := dynopt.Run(prog, dynopt.Config{Selector: sel})
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			path := filepath.Join(dir, name+".trace")
 			f, err := os.Create(path)

@@ -7,12 +7,12 @@ import (
 
 // MemRecorder captures a program's block-event stream straight into a dense
 // in-memory []vm.BlockEvent arena — no varint encoding, no disk round-trip,
-// no decode on replay. It implements vm.BlockSink, so it taps a live run via
-// dynopt's Config.Tap exactly like an Encoder; Corpus then seals the arena
-// into a replay-ready MemCorpus, whose Corpus.Replay drives the simulator
-// from the events without running the VM. The sweep engine's memoization
-// layer (internal/sweep) records each program once this way and replays it
-// for every other run of the program.
+// no decode on replay. It implements vm.BlockSink, so it records the VM
+// directly (vm.Run, dynopt.Record) exactly like an Encoder; Corpus then
+// seals the arena into a replay-ready MemCorpus, whose Corpus.Replay drives
+// the simulator from the events without running the VM. The sweep engine's
+// memoization layer (internal/sweep) records each program once this way,
+// with no simulator attached, and replays it for every run of the program.
 // A recorder is reusable: Reset starts a fresh take into the same arena, so
 // a long-lived recorder (one per sweep shard) records a cell without
 // growing its arena again.
@@ -49,6 +49,10 @@ func (r *MemRecorder) Reset(p *program.Program, workload string, scale int) {
 // the recorder holds between takes.
 func (r *MemRecorder) ArenaBytes() int64 { return int64(cap(r.events)) * eventBytes }
 
+// EventBytes reports the size in bytes of the events recorded so far: a
+// lower bound on the SizeBytes of the corpus Corpus would seal from them.
+func (r *MemRecorder) EventBytes() int64 { return int64(len(r.events)) * eventBytes }
+
 // BlockBatch implements vm.BlockSink, appending the batch to the arena. The
 // VM reuses the batch slice, so events are copied, never retained.
 //
@@ -59,16 +63,18 @@ func (r *MemRecorder) BlockBatch(events []vm.BlockEvent) {
 
 // Corpus seals the recording into a replay-ready in-memory corpus, stamping
 // the run totals from the recorded run's stats and counting the arena's
-// edge table (NewCorpus). The corpus gets an exact-size copy of the
-// recorded events; the arena stays with the recorder for its next take.
+// edge table (NewCorpus). The corpus gets one copy of the recorded events,
+// appended to a nil slice so the runtime does not zero the new array before
+// the copy overwrites it (its capacity may round up to the allocation's
+// size class, which SizeBytes charges); the arena stays with the recorder
+// for its next take.
 func (r *MemRecorder) Corpus(st vm.Stats) *MemCorpus {
 	h := r.h
 	h.Events = uint64(len(r.events))
 	h.Branches = st.Branches
 	h.Instrs = st.Instrs
 	h.FinalPC = st.FinalPC
-	events := make([]vm.BlockEvent, len(r.events))
-	copy(events, r.events)
+	events := append([]vm.BlockEvent(nil), r.events...)
 	return &MemCorpus{Corpus: *NewCorpus(&Stream{Header: h, Events: events}, r.prog)}
 }
 

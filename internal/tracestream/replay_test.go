@@ -44,30 +44,20 @@ func TestReplayMatchesLive(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			prog := workloads.MustGet(name).Build(scale)
-			// Record once per workload, tapped off the first live run.
-			var recorded []byte
-			for i, selName := range diffSelectors {
+			// Record once per workload, with the interpreter alone.
+			var buf bytes.Buffer
+			if _, err := tracestream.Record(prog, name, scale, vm.Config{}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			recorded := buf.Bytes()
+			for _, selName := range diffSelectors {
 				sel, err := sweep.NewSelector(selName, core.DefaultParams())
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := dynopt.Config{Selector: sel}
-				var enc tracestream.Encoder
-				if i == 0 {
-					cfg.Tap = &enc
-				}
-				live, err := dynopt.Run(prog, cfg)
+				live, err := dynopt.Run(prog, dynopt.Config{Selector: sel})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if i == 0 {
-					var buf bytes.Buffer
-					h := tracestream.Header{Workload: name, Scale: scale, ProgramLen: prog.Len(),
-						ProgramDigest: prog.Digest(), Instrs: live.VMStats.Instrs, FinalPC: live.VMStats.FinalPC}
-					if _, err := enc.WriteTo(&buf, h); err != nil {
-						t.Fatal(err)
-					}
-					recorded = buf.Bytes()
 				}
 				liveJSON := reportJSON(t, live.Report)
 
@@ -307,11 +297,15 @@ func TestReplaySkipsRepeatedPeriods(t *testing.T) {
 	for _, name := range workloads.SpecNames() {
 		prog := workloads.MustGet(name).Build(0)
 		rec := tracestream.NewMemRecorder(prog, name, 0)
-		live, err := dynopt.Run(prog, dynopt.Config{Selector: core.NewNET(core.DefaultParams()), Tap: rec})
+		st, err := vm.Run(prog, vm.Config{}, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := rec.Corpus(live.VMStats)
+		c := rec.Corpus(st)
+		live, err := dynopt.Run(prog, dynopt.Config{Selector: core.NewNET(core.DefaultParams())})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := c.Replay(dynopt.Config{Selector: core.NewNET(core.DefaultParams())})
 		if err != nil {
 			t.Fatal(err)

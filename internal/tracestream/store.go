@@ -53,7 +53,7 @@ func (st StoreStats) String() string {
 //
 // A missing key is filled under a claim: after a Get miss, Claim hands the
 // key to exactly one caller, who builds the corpus and ends the claim with
-// Admit (or Abandon on failure). Every other caller takes its fallback
+// Admit (Reject when the corpus cannot fit, Abandon on failure). Every other caller takes its fallback
 // without blocking; the output is the same either way.
 type Store struct {
 	mu      sync.Mutex
@@ -142,14 +142,12 @@ func (s *Store) Claim(k Key) (c *Corpus, claimed bool) {
 // disturbing the resident set, and k's later claims fall back.
 func (s *Store) Admit(k Key, c *Corpus) bool {
 	size := c.SizeBytes()
+	if s.Reject(k, size) {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.filling, k)
-	if size > s.budget {
-		s.stats.Rejected++
-		s.rejected[k] = true
-		return false
-	}
 	if e, ok := s.entries[k]; ok {
 		s.used -= e.size
 		delete(s.entries, k)
@@ -160,6 +158,22 @@ func (s *Store) Admit(k Key, c *Corpus) bool {
 	s.gen++
 	s.entries[k] = &storeEntry{corpus: c, size: size, used: s.gen}
 	s.used += size
+	return true
+}
+
+// Reject ends the caller's claim on k as Admit does for a corpus of size
+// bytes, when size exceeds the whole budget, and reports whether it did. A
+// caller holding a lower bound on its corpus's size asks first, so a corpus
+// that cannot fit is never built.
+func (s *Store) Reject(k Key, size int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if size <= s.budget {
+		return false
+	}
+	delete(s.filling, k)
+	s.stats.Rejected++
+	s.rejected[k] = true
 	return true
 }
 

@@ -275,6 +275,38 @@ func TestStoreRejectsOversizedCorpus(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsBeforeBuild pins Reject, the check a claimant makes
+// with a lower bound on its corpus's size before building it: a size the
+// budget holds keeps the claim for Admit; a larger one ends the claim as
+// Admit's rejection would, and the key falls back from then on.
+func TestStoreRejectsBeforeBuild(t *testing.T) {
+	c := corpusOf(t, 10)
+	s := tracestream.NewStore(c.SizeBytes())
+	fits, big := tracestream.Key{Digest: 1}, tracestream.Key{Digest: 2}
+	for _, k := range []tracestream.Key{fits, big} {
+		s.Get(k)
+		if _, claimed := s.Claim(k); !claimed {
+			t.Fatalf("free key %v not claimed", k)
+		}
+	}
+	if s.Reject(fits, c.SizeBytes()) {
+		t.Fatal("Reject refused a size the budget holds")
+	}
+	if !s.Admit(fits, c) {
+		t.Fatal("claim kept by Reject not admitted")
+	}
+	if !s.Reject(big, c.SizeBytes()+1) {
+		t.Fatal("Reject kept a size over the whole budget")
+	}
+	s.Get(big)
+	if got, claimed := s.Claim(big); got != nil || claimed {
+		t.Errorf("rejected key claimed again: (%p, %v)", got, claimed)
+	}
+	if st := s.Stats(); st.Rejected != 1 || st.Resident != 1 || st.Fallbacks != 1 {
+		t.Errorf("stats = %+v, want 1 rejected, 1 resident, 1 fallback", st)
+	}
+}
+
 // TestStoreClaimFindsResident closes the first-touch race: shard A misses a
 // key, shard B claims and publishes it, and only then does A claim. A must
 // be handed B's corpus to replay instead of a claim to record the key

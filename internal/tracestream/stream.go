@@ -142,7 +142,7 @@ func (e *Encoder) putU(v uint64) {
 
 // BlockBatch implements vm.BlockSink, encoding a batch of block events in
 // order. An Encoder can therefore take a program's events straight from
-// vm.Machine.Run, or from a live simulation through dynopt's Config.Tap.
+// vm.Machine.Run (Record does).
 //
 //lint:hotpath per-batch stream encoding (TestStreamCodecAllocFree)
 func (e *Encoder) BlockBatch(events []vm.BlockEvent) {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -48,29 +47,29 @@ func TestRoundTripByteExact(t *testing.T) {
 	}
 }
 
-// TestRecorderMatchesRecord pins that an Encoder tapped onto a live
-// simulation (dynopt's Config.Tap drives BlockBatch directly) produces the
-// same bytes as the Record helper.
+// TestRecorderMatchesRecord pins that an Encoder fed by dynopt.Record, the
+// interpreter-only run the memo engine records with, produces the same
+// bytes as the Record helper.
 func TestRecorderMatchesRecord(t *testing.T) {
 	const name, scale = "fig3-nested-loops", 30
 	p := workloads.MustGet(name).Build(scale)
 	var enc Encoder
-	res, err := dynopt.Run(p, dynopt.Config{Selector: core.NewNET(core.DefaultParams()), Tap: &enc})
+	st, err := dynopt.Record(p, vm.Config{}, nil, &enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tapped bytes.Buffer
+	var recorded bytes.Buffer
 	h := Header{Workload: name, Scale: scale, ProgramLen: p.Len(), ProgramDigest: p.Digest(),
-		Instrs: res.VMStats.Instrs, FinalPC: res.VMStats.FinalPC}
-	if _, err := enc.WriteTo(&tapped, h); err != nil {
+		Instrs: st.Instrs, FinalPC: st.FinalPC}
+	if _, err := enc.WriteTo(&recorded, h); err != nil {
 		t.Fatal(err)
 	}
 	var direct bytes.Buffer
 	if _, err := Record(p, name, scale, vm.Config{}, &direct); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(tapped.Bytes(), direct.Bytes()) {
-		t.Fatal("encoder tapped off a live simulation and Record helper produced different streams")
+	if !bytes.Equal(recorded.Bytes(), direct.Bytes()) {
+		t.Fatal("encoder fed by dynopt.Record and Record helper produced different streams")
 	}
 }
 
