@@ -565,8 +565,8 @@ func BenchmarkExtraFigures(b *testing.B) {
 	}
 }
 
-// BenchmarkCombine measures the end-to-end trace-combination path — compact
-// observed-trace recording (Figure 14), region-CFG construction, and
+// BenchmarkCombine measures the end-to-end trace-combination path —
+// observed-trace recording and storage, region-CFG construction, and
 // multipath promotion (Figure 13) — for both combining selectors on a pooled
 // shard, the configuration the sweep engine runs. The micro sub-benchmarks
 // run the full SPEC-named suite; the synthetic ones run the large seeded
@@ -763,25 +763,4 @@ func BenchmarkReplay(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Collector.SkippedEvents)/float64(h.Events), "skipped/event")
 	})
-}
-
-// BenchmarkCompactEncoding measures the Figure 14 encoder/decoder.
-func BenchmarkCompactEncoding(b *testing.B) {
-	prog := workloads.MustGet("gcc").Build(10)
-	sel := core.NewCombiner(core.BaseLEI, core.DefaultParams())
-	res, err := dynopt.Run(prog, dynopt.Config{Selector: sel})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
-	b.ReportMetric(float64(sel.Stats().ObservedTraces), "traces-observed")
-	// The encode/decode cost is inside the run; this bench times a full
-	// combined-LEI run dominated by observation work.
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewCombiner(core.BaseLEI, core.DefaultParams())
-		if _, err := dynopt.Run(prog, dynopt.Config{Selector: s}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/codecache"
 	"repro/internal/isa"
@@ -23,11 +22,11 @@ const (
 
 // Combiner implements trace combination (paper §4.2, Figure 13). It lowers
 // the base algorithm's selection threshold to T_start, records the traces
-// observed for the next T_prof qualifying executions of the target in the
-// compact form of Figure 14, and then combines them: blocks appearing in at
-// least T_min observed traces are kept, rejoining paths are added
-// (Figure 15), exits targeting member blocks become internal edges, and the
-// multi-path region is promoted to the code cache.
+// observed for the next T_prof qualifying executions of the target, and
+// then combines them: blocks appearing in at least T_min observed traces are
+// kept, rejoining paths are added (Figure 15), exits targeting member blocks
+// become internal edges, and the multi-path region is promoted to the code
+// cache.
 //
 // Thresholds follow the paper's comparability rule: regions are selected
 // after the same number of interpreted executions as under the base
@@ -41,22 +40,20 @@ type Combiner struct {
 	tStart   int
 	counters *profile.CounterPool
 
-	// Observed-trace storage, per profiled target: compact encodings live
-	// back to back in a grow-only arena and each head keeps a list of spans
-	// into it, recycled through spanFree when finalize releases the head.
-	// Observed memory stays a measured quantity (Figure 18) — the accounting
-	// below counts encoded bytes, which arena storage leaves unchanged.
+	// Observed-trace storage, per profiled target: the recorded block lists
+	// live back to back in a grow-only arena and each head keeps a list of
+	// spans into it, recycled through spanFree when finalize releases the
+	// head. Observed memory stays a measured quantity (Figure 18): the
+	// accounting below counts the bytes of each trace's Figure 14 encoding.
 	//lint:ignore densemap observed-trace storage is keyed by profiled heads only
 	observed map[isa.Addr][]traceSpan
-	arena    traceArena
+	arena    []codecache.BlockSpec
 	spanFree [][]traceSpan // recycled per-head span lists, all length 0
 
-	// cfg and decBlocks are the combination scratch: one pooled RegionCFG
-	// re-armed per finalize and one decode buffer threaded through
-	// CompactTrace.DecodeInto.
+	// cfg is the combination scratch: one pooled RegionCFG re-armed per
+	// finalize.
 	//lint:keep self-cleaning: finalize re-arms it via Reset(head) before use
 	cfg        RegionCFG
-	decBlocks  []codecache.BlockSpec
 	curBytes   int
 	highBytes  int
 	nObserved  uint64
@@ -183,8 +180,8 @@ func (c *Combiner) qualifyNET(env Env, ev Event) {
 }
 
 // feedRecorders advances active observed-trace recordings; completed ones
-// are stored compactly, and a target whose final recording just completed
-// is combined.
+// are stored, and a target whose final recording just completed is
+// combined.
 func (c *Combiner) feedRecorders(env Env, ev Event) {
 	if len(c.recording) == 0 {
 		return
@@ -197,8 +194,8 @@ func (c *Combiner) feedRecorders(env Env, ev Event) {
 			continue
 		}
 		delete(c.recording, head)
-		c.store(head, r.branches, r.lastAddr)
-		c.pool.put(r) // store encoded the outcomes into the arena; the recorder is free
+		c.store(head, r.blocks, r.branches)
+		c.pool.put(r) // store copied the blocks into the arena; the recorder is free
 		if c.combining[head] {
 			c.finalize(env, head)
 		}
@@ -224,7 +221,7 @@ func (c *Combiner) transferLEI(env Env, ev Event) {
 // observeLEI runs the LEI cycle logic for one recorded transfer and drives
 // the Figure 13 state machine on qualifying cycles.
 func (c *Combiner) observeLEI(env Env, src, tgt isa.Addr, kind profile.EntryKind) {
-	old, completed := leiCycleParams(c.buf, src, tgt, kind, c.params)
+	old, completed := leiCycle(c.buf, src, tgt, kind, c.params.AblateLEIExitGrowth)
 	if !completed {
 		return
 	}
@@ -233,9 +230,7 @@ func (c *Combiner) observeLEI(env Env, src, tgt isa.Addr, kind profile.EntryKind
 		return
 	}
 	if spec, outcomes, formed := formLEITrace(env.Program(), env.Cache(), c.buf, tgt, old, c.params, &c.scratch); formed {
-		lastBlock := spec.Blocks[len(spec.Blocks)-1]
-		lastAddr := lastBlock.Start + isa.Addr(lastBlock.Len) - 1
-		c.store(tgt, outcomes, lastAddr)
+		c.store(tgt, spec.Blocks, outcomes)
 	}
 	if n >= c.tStart+c.params.TProf {
 		c.counters.Release(tgt)
@@ -244,11 +239,12 @@ func (c *Combiner) observeLEI(env Env, src, tgt isa.Addr, kind profile.EntryKind
 	}
 }
 
-// store encodes one observed trace into the arena, records its span under
-// the target, and maintains the Figure 18 memory accounting (the encoded
-// byte count, which arena storage leaves unchanged).
-func (c *Combiner) store(tgt isa.Addr, branches []obsBranch, lastAddr isa.Addr) {
-	s := c.arena.add(branches, lastAddr)
+// store copies one recorded path — its blocks, non-empty, and the branch
+// outcomes along it — into the arena, records its span under the target,
+// and maintains the Figure 18 memory accounting.
+func (c *Combiner) store(tgt isa.Addr, blocks []codecache.BlockSpec, outcomes []obsBranch) {
+	s := newTraceSpan(len(c.arena), blocks, outcomes)
+	c.arena = append(c.arena, blocks...)
 	if len(c.observed[tgt]) == 0 {
 		if n := len(c.spanFree); n > 0 {
 			c.observed[tgt] = c.spanFree[n-1]
@@ -256,7 +252,7 @@ func (c *Combiner) store(tgt isa.Addr, branches []obsBranch, lastAddr isa.Addr) 
 		}
 	}
 	c.observed[tgt] = append(c.observed[tgt], s)
-	c.curBytes += s.bytes()
+	c.curBytes += s.bytes
 	if c.curBytes > c.highBytes {
 		c.highBytes = c.curBytes
 	}
@@ -269,12 +265,12 @@ func (c *Combiner) finalize(env Env, head isa.Addr) {
 	traces := c.observed[head]
 	delete(c.observed, head)
 	for _, s := range traces {
-		c.curBytes -= s.bytes()
+		c.curBytes -= s.bytes
 	}
 	if cap(traces) > 0 {
 		// Recycle the span list for the next profiled head. The spans stay
-		// readable through the decode loop below: recycling only truncates
-		// the list, and reuse cannot happen before the next store.
+		// readable through the loop below: recycling only truncates the
+		// list, and reuse cannot happen before the next store.
 		c.spanFree = append(c.spanFree, traces[:0])
 	}
 	if len(traces) == 0 {
@@ -283,16 +279,7 @@ func (c *Combiner) finalize(env Env, head isa.Addr) {
 	g := &c.cfg
 	g.Reset(head)
 	for _, s := range traces {
-		blocks, closing, hasClosing, err := c.arena.trace(s).DecodeInto(env.Program(), head, c.decBlocks)
-		if err != nil {
-			env.Fail(errors.Join(fmt.Errorf("combiner: decoding observed trace at %d", head), err))
-			return
-		}
-		c.decBlocks = blocks
-		if len(blocks) == 0 {
-			continue
-		}
-		if err := g.AddTrace(blocks, closing, hasClosing); err != nil {
+		if err := g.AddTrace(c.arena[s.off:s.off+s.n], s.closing, s.hasClosing); err != nil {
 			env.Fail(err)
 			return
 		}
@@ -345,9 +332,8 @@ func (c *Combiner) Reset(params Params) {
 		}
 	}
 	clear(c.observed)
-	c.arena.reset()
+	c.arena = c.arena[:0]
 	c.cfg.Reset(0)
-	c.decBlocks = c.decBlocks[:0]
 	for _, r := range c.recording {
 		c.pool.put(r)
 	}

@@ -4,8 +4,8 @@
 //   - LEI (Last-Executed Iteration), which selects cyclic traces from a
 //     history buffer of recently interpreted taken branches (paper §3,
 //     Figures 5 and 6);
-//   - trace combination, which records several observed traces compactly,
-//     merges them into a CFG, and promotes a multi-path region (paper §4,
+//   - trace combination, which records several observed traces, merges
+//     them into a CFG, and promotes a multi-path region (paper §4,
 //     Figures 13, 14, 15). Combination layers on either NET or LEI.
 //
 // Selectors plug into the dynamic-optimization-system simulator in package
@@ -69,9 +69,9 @@ type ProfileStats struct {
 	CounterAllocs uint64
 	// HistoryCap is the LEI history-buffer capacity (0 for NET).
 	HistoryCap int
-	// ObservedBytesHighWater is the maximum memory, in bytes, holding
-	// compactly stored observed traces at any point (Figure 18); zero
-	// without trace combination.
+	// ObservedBytesHighWater is the maximum memory, in bytes, that the
+	// observed traces held at any one point take in the compact encoding of
+	// Figure 14 (Figure 18); zero without trace combination.
 	ObservedBytesHighWater int
 	// ObservedTraces is the total number of observed traces recorded by
 	// trace combination.

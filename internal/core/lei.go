@@ -92,7 +92,7 @@ func (l *LEI) CacheExit(env Env, src, tgt isa.Addr) {
 
 // observe runs the Figure 5 profiling logic for one recorded transfer.
 func (l *LEI) observe(env Env, src, tgt isa.Addr, kind profile.EntryKind) {
-	old, completed := leiCycleParams(l.buf, src, tgt, kind, l.params)
+	old, completed := leiCycle(l.buf, src, tgt, kind, l.params.AblateLEIExitGrowth)
 	if !completed {
 		return
 	}
@@ -115,15 +115,11 @@ func (l *LEI) observe(env Env, src, tgt isa.Addr, kind profile.EntryKind) {
 // It reports the position of the previous occurrence of tgt and whether a
 // qualifying cycle completed: the target is in the buffer and either the
 // completing transfer is backward or the previous occurrence was reached by
-// an exit from the code cache.
-func leiCycle(buf *profile.HistoryBuffer, src, tgt isa.Addr, kind profile.EntryKind) (old uint64, qualified bool) {
-	return leiCycleParams(buf, src, tgt, kind, Params{})
-}
-
-// leiCycleParams is leiCycle honoring the AblateLEIExitGrowth switch.
+// an exit from the code cache, unless ablateExitGrowth (the
+// AblateLEIExitGrowth study) discounts exits.
 //
-//lint:hotpath shared with the exported one-shot wrappers
-func leiCycleParams(buf *profile.HistoryBuffer, src, tgt isa.Addr, kind profile.EntryKind, params Params) (old uint64, qualified bool) {
+//lint:hotpath per-taken-branch under LEI and combined LEI
+func leiCycle(buf *profile.HistoryBuffer, src, tgt isa.Addr, kind profile.EntryKind, ablateExitGrowth bool) (old uint64, qualified bool) {
 	seq := buf.Insert(src, tgt, kind)
 	old, ok := buf.Lookup(tgt)
 	if !ok {
@@ -132,7 +128,7 @@ func leiCycleParams(buf *profile.HistoryBuffer, src, tgt isa.Addr, kind profile.
 	}
 	oldEntry := buf.At(old)
 	buf.SetHash(tgt, seq)
-	exitGrown := oldEntry.Kind == profile.KindExit && !params.AblateLEIExitGrowth
+	exitGrown := oldEntry.Kind == profile.KindExit && !ablateExitGrowth
 	if tgt <= src || exitGrown {
 		return old, true
 	}
@@ -192,11 +188,11 @@ func (sc *leiScratch) begin(addrSpace int) {
 }
 
 // formLEITrace is FormLEITrace, additionally returning the branch outcomes
-// along the path so that combined LEI can store the observed trace in the
-// compact encoding of Figure 14. When sc is non-nil its storage is reused;
-// the returned spec.Blocks and outcomes then alias the scratch and are valid
-// only until the next formation (codecache.Insert and encodeTrace both copy,
-// so the selector flows consume them in time).
+// along the path, which combined LEI stores with the observed trace for its
+// Figure 14 accounting. When sc is non-nil its storage is reused; the
+// returned spec.Blocks and outcomes then alias the scratch and are valid
+// only until the next formation (codecache.Insert and Combiner.store both
+// copy, so the selector flows consume them in time).
 //
 //lint:hotpath shared with the exported one-shot wrappers
 func formLEITrace(p *program.Program, cache *codecache.Cache, buf *profile.HistoryBuffer, start isa.Addr, old uint64, params Params, sc *leiScratch) (spec codecache.Spec, outcomes []obsBranch, formed bool) {
@@ -213,7 +209,7 @@ func formLEITrace(p *program.Program, cache *codecache.Cache, buf *profile.Histo
 		// Append the blocks executed linearly from 'from' through the
 		// block ending at branchSrc. Returns false when the trace must
 		// stop inside the run. Not-taken conditionals at interior block
-		// ends contribute their outcome for the compact encoding.
+		// ends contribute their outcome.
 		for b := from; ; {
 			if cache.HasEntry(b) {
 				return false // next instruction begins an existing trace

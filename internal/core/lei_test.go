@@ -47,7 +47,7 @@ func TestLeiCycleConditions(t *testing.T) {
 		buf := profile.NewHistoryBuffer(16)
 		s := buf.Insert(6, 1, profile.KindInterp)
 		buf.SetHash(1, s)
-		old, ok := leiCycle(buf, 6, 1, profile.KindInterp)
+		old, ok := leiCycle(buf, 6, 1, profile.KindInterp, false)
 		if !ok || old != s {
 			t.Errorf("backward cycle: %d, %v", old, ok)
 		}
@@ -56,7 +56,7 @@ func TestLeiCycleConditions(t *testing.T) {
 		buf := profile.NewHistoryBuffer(16)
 		s := buf.Insert(2, 5, profile.KindInterp)
 		buf.SetHash(5, s)
-		if _, ok := leiCycle(buf, 2, 5, profile.KindInterp); ok {
+		if _, ok := leiCycle(buf, 2, 5, profile.KindInterp, false); ok {
 			t.Error("forward cycle with interp old must not qualify")
 		}
 	})
@@ -64,14 +64,14 @@ func TestLeiCycleConditions(t *testing.T) {
 		buf := profile.NewHistoryBuffer(16)
 		s := buf.Insert(8, 5, profile.KindExit) // previous exit to 5
 		buf.SetHash(5, s)
-		old, ok := leiCycle(buf, 2, 5, profile.KindExit)
+		old, ok := leiCycle(buf, 2, 5, profile.KindExit, false)
 		if !ok || old != s {
 			t.Errorf("exit-grown cycle: %d, %v", old, ok)
 		}
 	})
 	t.Run("no previous occurrence", func(t *testing.T) {
 		buf := profile.NewHistoryBuffer(16)
-		if _, ok := leiCycle(buf, 6, 1, profile.KindInterp); ok {
+		if _, ok := leiCycle(buf, 6, 1, profile.KindInterp, false); ok {
 			t.Error("first occurrence cannot complete a cycle")
 		}
 	})

@@ -28,15 +28,15 @@ type tailRecorder struct {
 	crossBackward bool
 
 	blocks   []codecache.BlockSpec
-	branches []obsBranch // branch outcomes, for compact encoding
+	branches []obsBranch // branch outcomes, for the combiner's accounting
 	instrs   int
 	lastAddr isa.Addr // address of the last instruction recorded
 	cyclic   bool
 	done     bool
 }
 
-// obsBranch is one branch outcome along a recorded path, in the order the
-// compact encoding of Figure 14 stores them.
+// obsBranch is one branch outcome along a recorded path, in path order: one
+// symbol of the path's Figure 14 encoding.
 type obsBranch struct {
 	addr     isa.Addr // the branch instruction
 	taken    bool
@@ -63,7 +63,7 @@ func (r *tailRecorder) reset(p *program.Program, head isa.Addr, maxInstrs, maxBl
 // recorderPool recycles tail recorders so that steady-state trace selection
 // under pooled selectors stops allocating per promotion. Recorders are safe
 // to recycle as soon as their spec or branch outcomes have been consumed:
-// codecache.Insert copies Blocks and encodeTrace copies outcomes.
+// codecache.Insert and Combiner.store copy Blocks.
 type recorderPool struct {
 	free []*tailRecorder
 }

@@ -70,7 +70,7 @@ func TestTailRecorderCyclic(t *testing.T) {
 			t.Fatalf("blocks = %+v", spec.Blocks)
 		}
 	}
-	// Branch outcomes recorded for the compact encoding: not-taken at 1,
+	// Branch outcomes recorded for the observed-trace accounting: not-taken at 1,
 	// taken at 3, taken at 5.
 	if len(r.branches) != 3 || r.branches[0].taken || !r.branches[1].taken || !r.branches[2].taken {
 		t.Errorf("branches = %+v", r.branches)

@@ -15,10 +15,12 @@ import (
 // allocating compact encodings built bit by bit, a map-indexed RegionCFG
 // constructed from scratch per combination, and non-recycled observed-trace
 // recorders — exactly as the production Combiner worked before the arena
-// migration. It is the oracle proving the arena, the pooled RegionCFG, and
-// the word-wise bit coding perturb neither the selected regions nor the
-// Figure 18 measurements (ObservedBytesHighWater, ObservedTraces) nor the
-// §4.2.3 rejoin-iteration histogram.
+// migration. It is the oracle proving that the pooled RegionCFG, and storing
+// the recorded block lists in place of an encode/decode round trip, perturb
+// neither the selected regions nor the Figure 18 measurements
+// (ObservedBytesHighWater, ObservedTraces) nor the §4.2.3 rejoin-iteration
+// histogram. Its codec is the repository's one executable Figure 14 encoder
+// and decoder (compact_test.go pins it).
 
 // refObsBranch is one branch outcome along a recorded path.
 type refObsBranch struct {
@@ -174,7 +176,10 @@ func (t refCompactTrace) Decode(p *program.Program, head isa.Addr) (blocks []cod
 				return nil, 0, false, err
 			}
 			last := isa.Addr(endAddr)
-			if refLastRecorded(blocks) == last {
+			// refLastRecorded names the all-ones address for an empty list,
+			// which a corrupt encoding can give as its end: an empty path is
+			// never a closed trace.
+			if len(blocks) > 0 && refLastRecorded(blocks) == last {
 				return blocks, segStart, true, nil
 			}
 			if last >= segStart && last <= pc {
@@ -211,6 +216,30 @@ func (t refCompactTrace) Decode(p *program.Program, head isa.Addr) (blocks []cod
 			pc = isa.Addr(tgt)
 		}
 	}
+}
+
+// RefBranch is one branch outcome along a recorded path, in path order.
+type RefBranch struct {
+	Addr     isa.Addr // the branch instruction
+	Taken    bool
+	Indirect bool
+	Target   isa.Addr // meaningful when Taken
+}
+
+// RefObservedTrace is what the frozen combiner makes of one recorded path:
+// it encodes the branch outcomes and the address of the path's last
+// instruction with the frozen Figure 14 codec, then decodes the encoding by
+// re-walking p from head. It returns the decoded blocks and closing
+// transfer, which the combiner hands to the region CFG, and the encoding's
+// byte length, which Figure 18 measures.
+func RefObservedTrace(p *program.Program, head isa.Addr, branches []RefBranch, lastAddr isa.Addr) (blocks []codecache.BlockSpec, closing isa.Addr, hasClosing bool, bytes int, err error) {
+	obs := make([]refObsBranch, len(branches))
+	for i, br := range branches {
+		obs[i] = refObsBranch{addr: br.Addr, taken: br.Taken, indirect: br.Indirect, target: br.Target}
+	}
+	ct := refEncodeTrace(obs, lastAddr)
+	blocks, closing, hasClosing, err = ct.Decode(p, head)
+	return blocks, closing, hasClosing, ct.Bytes(), err
 }
 
 // refRegionCFG is the frozen map-indexed combination CFG, built fresh per

@@ -80,7 +80,7 @@ func (l *RefLEI) Stats() core.ProfileStats {
 	}
 }
 
-// refLEICycle is the frozen copy of the production leiCycleParams over the
+// refLEICycle is the frozen copy of the production leiCycle over the
 // reference buffer.
 func refLEICycle(buf *RefHistoryBuffer, src, tgt isa.Addr, kind profile.EntryKind, params core.Params) (old uint64, qualified bool) {
 	seq := buf.Insert(src, tgt, kind)

@@ -239,13 +239,18 @@ func (b *HistoryBuffer) Reset() {
 }
 
 // Resize empties the buffer and re-targets it to a new capacity. The slot
-// array is reallocated only when the capacity actually changes, so pooled
-// selectors re-armed with the same HistoryCap reuse their storage.
+// array is reallocated only when the capacity outgrows it; a capacity that
+// fits reslices it, so pooled selectors re-armed across a HistoryCap sweep
+// reuse their storage. Stale slots need no clearing: residency is defined by
+// first and next and Reset clears the hash, so every slot a lookup can reach
+// is rewritten in the new run.
 func (b *HistoryBuffer) Resize(capacity int) {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	if capacity != len(b.slots) {
+	if capacity <= cap(b.slots) {
+		b.slots = b.slots[:capacity]
+	} else {
 		b.slots = make([]HistoryEntry, capacity)
 	}
 	b.Reset()

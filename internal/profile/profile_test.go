@@ -272,3 +272,73 @@ func TestHistoryBufferModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHistoryBufferResizeReusesSlots pins Resize's storage rule across a
+// HistoryCap sweep: only growth allocates, a shrink reslices the slot array
+// it already has, and a shrunk buffer whose slots still hold a larger run's
+// entries answers Lookup, At and AppendAfter exactly as a fresh buffer of
+// the same capacity does.
+func TestHistoryBufferResizeReusesSlots(t *testing.T) {
+	b := NewHistoryBuffer(50)
+	small := &b.slots[0]
+	b.Resize(1000)
+	if b.Cap() != 1000 || &b.slots[0] == small {
+		t.Fatalf("growth to 1000: cap %d, same array %v; want a new 1000-slot array", b.Cap(), &b.slots[0] == small)
+	}
+	large := &b.slots[0]
+	if allocs := testing.AllocsPerRun(10, func() {
+		b.Resize(50)
+		b.Resize(1000)
+		b.Resize(50)
+	}); allocs != 0 {
+		t.Errorf("50→1000→50 within the grown array: %v allocs, want 0", allocs)
+	}
+	if b.Cap() != 50 || &b.slots[0] != large {
+		t.Fatalf("shrink to 50: cap %d, same array %v; want the 1000-slot array resliced", b.Cap(), &b.slots[0] == large)
+	}
+
+	// Fill the large array, shrink, and drive the shrunk and a fresh buffer
+	// through one LEI-shaped op sequence.
+	b.Resize(1000)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2500; i++ {
+		seq := b.Insert(isa.Addr(rng.Intn(64)), isa.Addr(rng.Intn(64)), KindExit)
+		b.SetHash(isa.Addr(rng.Intn(64)), seq)
+	}
+	b.Resize(50)
+	fresh := NewHistoryBuffer(50)
+	for i := 0; i < 3000; i++ {
+		src, tgt := isa.Addr(rng.Intn(48)), isa.Addr(rng.Intn(48))
+		kind := EntryKind(rng.Intn(3))
+		seq, fseq := b.Insert(src, tgt, kind), fresh.Insert(src, tgt, kind)
+		if seq != fseq {
+			t.Fatalf("op %d: Insert = %d, fresh %d", i, seq, fseq)
+		}
+		old, ok := b.Lookup(tgt)
+		fold, fok := fresh.Lookup(tgt)
+		if old != fold || ok != fok {
+			t.Fatalf("op %d: Lookup(%d) = %d,%v, fresh %d,%v", i, tgt, old, ok, fold, fok)
+		}
+		b.SetHash(tgt, seq)
+		fresh.SetHash(tgt, seq)
+		if !ok {
+			continue
+		}
+		if got, want := b.At(old), fresh.At(old); got != want {
+			t.Fatalf("op %d: At(%d) = %+v, fresh %+v", i, old, got, want)
+		}
+		got, want := b.AppendAfter(old, nil), fresh.AppendAfter(old, nil)
+		if len(got) != len(want) {
+			t.Fatalf("op %d: AppendAfter(%d) = %d entries, fresh %d", i, old, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("op %d: AppendAfter(%d)[%d] = %+v, fresh %+v", i, old, j, got[j], want[j])
+			}
+		}
+		if rng.Intn(4) == 0 {
+			b.TruncateAfter(old)
+			fresh.TruncateAfter(old)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -289,15 +290,20 @@ func TestSweepTraceOverBudgetStreams(t *testing.T) {
 		t.Errorf("Fallbacks = %d, want %d (every job after the rejected decode streams)", st.Fallbacks, want)
 	}
 
-	// The rejected key stays rejected, so this whole run streams.
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	if err := r.RunGrid(context.Background(), g, opts, &CountingSink{}); err != nil {
-		t.Fatal(err)
+	// The rejected key stays rejected, so these whole runs stream. TotalAlloc
+	// counts the process's background allocation too, which only adds, so
+	// the smallest per-job figure of three runs is the one read.
+	perJob := int64(math.MaxInt64)
+	for run := 0; run < 3; run++ {
+		var ms0, ms1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		if err := r.RunGrid(context.Background(), g, opts, &CountingSink{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms1)
+		perJob = min(perJob, int64(ms1.TotalAlloc-ms0.TotalAlloc)/int64(g.NumJobs()))
 	}
-	runtime.ReadMemStats(&ms1)
-	perJob := int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(g.NumJobs())
 	if perJob > size/10 {
 		t.Errorf("streamed jobs allocated %d bytes each, want well below the %d-byte corpus", perJob, size)
 	}

@@ -11,8 +11,8 @@
 // their delivery watermark and the merged output is byte-identical to a
 // single-process run.
 //
-// The wire format is a compact binary codec in the idiom of the Figure 14
-// bit coder (internal/core): append-only reusable buffers, chunked
+// The wire format is a compact binary codec in the idiom of the trace-stream
+// codec (internal/tracestream): append-only reusable buffers, chunked
 // bounds-checked reads, length-prefixed frames, varint-packed integers,
 // fixed 64-bit floats, and results batched per frame to amortize syscalls.
 // Steady-state encode and decode of a result batch is allocation-free

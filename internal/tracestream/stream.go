@@ -13,17 +13,17 @@
 // (TestReplayMatchesLive pins this for every registered workload under all
 // five selectors).
 //
-// Encoding, in the idiom of the Figure 14 bit coder and the sweepnet wire
-// codec: a self-describing header (workload name and scale, program length
-// and content digest, event/branch/instruction counts, final PC), then one
-// varint-packed record per block event. Each record packs the zigzag
-// source-address delta with a 3-bit tag (0 = fall-through, kind+1 = taken)
-// into one varint; taken events append the zigzag target delta, while
-// fall-through targets are implied (Tgt = Src+1). Loop-heavy streams repeat
-// small deltas, so hot events cost one or two bytes. Steady-state encode
-// and decode are allocation-free (TestStreamCodecAllocFree) and the decoder
-// never panics or trusts a corrupt count as an allocation size
-// (FuzzStreamDecode, every-prefix truncation errors).
+// Encoding, in the idiom of the sweepnet wire codec: a self-describing
+// header (workload name and scale, program length and content digest,
+// event/branch/instruction counts, final PC), then one varint-packed record
+// per block event. Each record packs the zigzag source-address delta with a
+// 3-bit tag (0 = fall-through, kind+1 = taken) into one varint; taken events
+// append the zigzag target delta, while fall-through targets are implied
+// (Tgt = Src+1). Loop-heavy streams repeat small deltas, so hot events cost
+// one or two bytes. Steady-state encode and decode are allocation-free
+// (TestStreamCodecAllocFree) and the decoder never panics or trusts a
+// corrupt count as an allocation size (FuzzStreamDecode, every-prefix
+// truncation errors).
 package tracestream
 
 import (

@@ -9,7 +9,7 @@
 # cases cover net+comb/lei+comb), the distributed sweep service, the
 # harness that drives it (which exercises the adaptive meta-selector end
 # to end via the Pareto-front pin), the core selector package
-# (compact-trace round-trip, arena, and adaptive detector tests), and the
+# (observed-trace storage, combiner, and adaptive detector tests), and the
 # trace corpora and code cache that shards read concurrently (corpus
 # event arenas and edge tables, region walks), a
 # sweep smoke run through the cmd/sweep CLI covering the adaptive
@@ -65,7 +65,7 @@ go -C benchmark test ./...
 echo "== lint: hotpathalloc, resetclean, densemap, crosshot, epochguard, scratchclean (docs/LINTING.md) =="
 go run ./cmd/lint ./...
 
-echo "== race detector: sweep engine + sweepnet + experiment harness + core round-trip + shared corpora and regions =="
+echo "== race detector: sweep engine + sweepnet + experiment harness + core selectors + shared corpora and regions =="
 go test -race ./internal/sweep/ ./internal/sweepnet/ ./internal/experiments/ ./internal/core/ ./internal/tracestream/ ./internal/codecache/
 
 workdir="$(mktemp -d)"
@@ -199,7 +199,7 @@ if [ "$fuzztime" != "0" ]; then
     echo "== fuzz: FuzzParseNoCrashOnGarbage ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzParseNoCrashOnGarbage$' -fuzztime "$fuzztime" ./internal/asm/
     echo "== fuzz: FuzzCompactDecode ($fuzztime) =="
-    go test -run '^$' -fuzz '^FuzzCompactDecode$' -fuzztime "$fuzztime" ./internal/core/
+    go test -run '^$' -fuzz '^FuzzCompactDecode$' -fuzztime "$fuzztime" ./internal/difftest/
     echo "== fuzz: FuzzDirectives ($fuzztime) =="
     go test -run '^$' -fuzz '^FuzzDirectives$' -fuzztime "$fuzztime" ./internal/lint/
 fi
