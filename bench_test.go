@@ -644,6 +644,13 @@ func BenchmarkCombine(b *testing.B) {
 // selector-bound cells save less, since replay still runs the full
 // selector). Both numbers land in BENCH_pipeline.json via scripts/bench.sh
 // and regress through scripts/benchgate.
+//
+// historycap=warm times the sweep engine's shared cells: the same two
+// workloads × 8 HistoryCap values × the paper's four selectors and
+// adaptive, replayed on one Runner whose memo a run before the timer
+// filled. net and net+comb ignore HistoryCap, so each workload's 40 cells
+// run 26 simulations and answer 14 from an earlier cell's report; it
+// reports shared/op alongside jobs/s.
 func BenchmarkSweepMemo(b *testing.B) {
 	var cfgs []sweep.Config
 	for _, th := range []int{4, 6, 8, 12, 16, 24, 32, 40, 48, 56, 64, 80, 96, 112, 128, 160} {
@@ -677,6 +684,39 @@ func BenchmarkSweepMemo(b *testing.B) {
 			b.ReportMetric(float64(njobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
+	b.Run("historycap=warm", func(b *testing.B) {
+		var cfgs []sweep.Config
+		for _, h := range []int{50, 100, 200, 300, 500, 750, 1000, 2000} {
+			p := core.DefaultParams()
+			p.HistoryCap = h
+			cfgs = append(cfgs, sweep.Config{Params: p})
+		}
+		grid := sweep.Grid{
+			Workloads: []string{"bzip2", "mcf"},
+			Scale:     benchScale,
+			Selectors: append(sweep.PaperSelectors(), sweep.Adaptive),
+			Configs:   cfgs,
+		}
+		njobs := grid.NumJobs()
+		r := sweep.NewRunner()
+		opts := sweep.Options{Shards: 1}
+		if err := r.RunGrid(context.Background(), grid, opts, nil); err != nil {
+			b.Fatal(err)
+		}
+		shared := r.Shared()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var sink sweep.CountingSink
+			if err := r.RunGrid(context.Background(), grid, opts, &sink); err != nil {
+				b.Fatal(err)
+			}
+			if sink.N != njobs {
+				b.Fatalf("delivered %d of %d jobs", sink.N, njobs)
+			}
+		}
+		b.ReportMetric(float64(njobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+		b.ReportMetric(float64(r.Shared()-shared)/float64(b.N), "shared/op")
+	})
 }
 
 // BenchmarkReplay quantifies the record/replay decoupling

@@ -54,7 +54,7 @@ func main() {
 	shards := flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 	sinkName := flag.String("sink", "table", "output format: table, csv, jsonl, or none")
 	remote := flag.String("remote", "", "comma-separated sweepd worker addresses; empty = run in-process")
-	verbose := flag.Bool("v", false, "print run statistics (memo counters) to stderr")
+	verbose := flag.Bool("v", false, "print run statistics (memo counters, shared cells) to stderr")
 	list := flag.Bool("list", false, "list grid keys, workloads, and selectors, then exit")
 	flag.Parse()
 
@@ -85,7 +85,7 @@ func main() {
 		runner := sweep.NewRunner()
 		err = runner.RunGrid(ctx, grid, sweep.Options{Shards: *shards}, sink)
 		if *verbose {
-			fmt.Fprintln(os.Stderr, "sweep: memo", runner.MemoStats())
+			fmt.Fprintf(os.Stderr, "sweep: memo %v shared=%d\n", runner.MemoStats(), runner.Shared())
 		}
 	}
 	flush()

@@ -52,6 +52,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)
 	}
-	fmt.Println("sweepd: memo", runner.MemoStats())
+	fmt.Printf("sweepd: memo %v shared=%d\n", runner.MemoStats(), runner.Shared())
 	fmt.Println("sweepd: drained")
 }

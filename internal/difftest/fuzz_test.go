@@ -1,11 +1,15 @@
 package difftest
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dynopt"
+	"repro/internal/isa"
 	"repro/internal/program"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -64,7 +68,10 @@ func FuzzNETSelect(f *testing.F) {
 // observed-trace storage and cache-exit qualification paths — and
 // cross-checks a pooled, Reset selector against a freshly constructed one:
 // after polluting a Combiner with a different program, parameter point, and
-// stream, Reset must make it behave bit-identically to new.
+// stream, Reset must make it behave bit-identically to new. The same data
+// read as a path through the program (pathEvents) then drives a fresh
+// Combiner and the frozen RefCombiner through the simulator, whose
+// observed traces must decode to what the Combiner stored.
 func FuzzCombinedSelect(f *testing.F) {
 	fuzzSeeds(f)
 	// Streams verified (against an in-package span scanner) to make the
@@ -127,8 +134,65 @@ func FuzzCombinedSelect(f *testing.F) {
 			if err := CompareCaches(fenv.cache, penv.cache); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			// The frozen reference decodes each observed trace by walking
+			// the program, so it is compared on a path the program can take.
+			events := pathEvents(p, data)
+			if err := comparePath(p, core.NewCombiner(base, params), NewRefCombiner(base, params), events); err != nil {
+				t.Fatalf("%s against the frozen reference: %v", name, err)
+			}
 		}
 	})
+}
+
+// pathEvents decodes data into a block-event stream p's control flow can
+// produce: from the entry, each two-byte record ends the current block the
+// way its final instruction allows — a conditional branch taken or not by
+// the first byte's low bit, an indirect transfer to the block leader the
+// second byte picks, every other instruction the one way it goes — until
+// the data ends or the program halts.
+func pathEvents(p *program.Program, data []byte) []vm.BlockEvent {
+	leaders := p.BlockStarts()
+	var events []vm.BlockEvent
+	pos := p.Entry()
+	for i := 0; i+2 <= len(data); i += 2 {
+		src := p.BlockEnd(pos) - 1
+		in := p.At(src)
+		ev := vm.BlockEvent{Src: src, Tgt: src + 1, Kind: streamKind(p, src), Taken: true}
+		switch {
+		case in.Op == isa.Halt:
+			return events
+		case in.IsIndirect():
+			ev.Tgt = leaders[int(data[i+1])%len(leaders)]
+		case in.Op == isa.Br:
+			if data[i]&1 != 0 {
+				ev.Tgt = in.Target
+			} else {
+				ev.Taken = false
+			}
+		case in.Op == isa.Jmp || in.Op == isa.Call:
+			ev.Tgt = in.Target
+		default:
+			ev.Taken = false
+		}
+		events = append(events, ev)
+		pos = ev.Tgt
+	}
+	return events
+}
+
+// comparePath runs the dense selector and its frozen reference over one
+// block-event stream, a run cut short wherever the stream ends, and
+// compares them as CompareRun does.
+func comparePath(p *program.Program, dense, ref core.Selector, events []vm.BlockEvent) error {
+	dres, derr := dynopt.RunEdges(p, dynopt.Config{Selector: dense}, events, nil, nil, 0, 0)
+	rres, rerr := dynopt.RunEdges(p, dynopt.Config{Selector: ref}, events, nil, nil, 0, 0)
+	if derr != nil || rerr != nil {
+		return fmt.Errorf("run failed: dense=%v ref=%v", derr, rerr)
+	}
+	if dres.Report != rres.Report {
+		return fmt.Errorf("report divergence:\ndense: %+v\nref:   %+v", dres.Report, rres.Report)
+	}
+	return CompareCaches(dres.Cache, rres.Cache)
 }
 
 // FuzzLEISelect cross-checks the dense LEI selector (dense-hash history

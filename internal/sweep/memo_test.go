@@ -47,9 +47,20 @@ func memoJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// memoTestDistinct is the number of distinct cells in each workload's 15
+// cells of memoTestGrid: net and net+comb ignore LEIThreshold, so each
+// runs once for the three configs.
+const memoTestDistinct = 11
+
+// memoRun is a runner's memo counters and its count of shared jobs.
+type memoRun struct {
+	MemoStats
+	Shared uint64
+}
+
 // runMemoGrid executes g on a fresh runner and returns the collected
-// results plus the runner's memo counters.
-func runMemoGrid(t *testing.T, g Grid, opts Options) ([]Result, MemoStats) {
+// results plus the runner's memo counters and shared-job count.
+func runMemoGrid(t *testing.T, g Grid, opts Options) ([]Result, memoRun) {
 	t.Helper()
 	r := NewRunner()
 	var sink CollectSink
@@ -59,7 +70,7 @@ func runMemoGrid(t *testing.T, g Grid, opts Options) ([]Result, MemoStats) {
 	if len(sink.Results) != g.NumJobs() {
 		t.Fatalf("delivered %d results, want %d", len(sink.Results), g.NumJobs())
 	}
-	return sink.Results, r.MemoStats()
+	return sink.Results, memoRun{r.MemoStats(), r.Shared()}
 }
 
 // cellBytes records the (name, testScale) cell as the memo layer does and
@@ -99,13 +110,16 @@ func TestSweepMemoMatchesOff(t *testing.T) {
 	on, onStats := runMemoGrid(t, g, Options{Shards: 3})
 	diffMemoRuns(t, off, on)
 
-	if offStats.Rejected != uint64(len(g.Workloads)) || offStats.Hits != 0 || offStats.Resident != 0 {
-		t.Errorf("one-byte-budget reference did not run live: %+v, want %d rejected, no hits, nothing resident",
+	if offStats.Rejected != uint64(len(g.Workloads)) || offStats.Hits != 0 || offStats.Resident != 0 || offStats.Shared != 0 {
+		t.Errorf("one-byte-budget reference did not run live: %+v, want %d rejected, no hits, nothing resident or shared",
 			offStats, len(g.Workloads))
 	}
+	// Each workload's 15 cells fit one chunk, so every cell whose twin ran
+	// before it in its chunk is shared.
 	jobs := uint64(g.NumJobs())
-	if onStats.Hits+onStats.Misses != jobs {
-		t.Errorf("hits %d + misses %d != %d jobs", onStats.Hits, onStats.Misses, jobs)
+	if distinct := uint64(len(g.Workloads) * memoTestDistinct); onStats.Hits+onStats.Misses != distinct || onStats.Shared != jobs-distinct {
+		t.Errorf("hits %d + misses %d, shared %d; want %d distinct cells looked up and %d shared",
+			onStats.Hits, onStats.Misses, onStats.Shared, distinct, jobs-distinct)
 	}
 	if onStats.Hits == 0 {
 		t.Error("memoized run never replayed")
@@ -144,8 +158,11 @@ func TestSweepMemoConcurrentFirstTouch(t *testing.T) {
 	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
 	on, stats := runMemoGrid(t, g, Options{Shards: shards})
 	diffMemoRuns(t, off, on)
-	if stats.Hits+stats.Misses != uint64(g.NumJobs()) {
-		t.Errorf("hits %d + misses %d != %d jobs", stats.Hits, stats.Misses, g.NumJobs())
+	// lei and lei+comb ignore NETThreshold, so a shard shares their cells
+	// within its chunk once the corpus is resident; every other job looks
+	// the store up once.
+	if stats.Hits+stats.Misses+stats.Shared != uint64(g.NumJobs()) {
+		t.Errorf("hits %d + misses %d + shared %d != %d jobs", stats.Hits, stats.Misses, stats.Shared, g.NumJobs())
 	}
 	t.Logf("%d of %d jobs fell back to live while the cell was recording", stats.Fallbacks, g.NumJobs())
 	if stats.Misses != 1+stats.Fallbacks {
@@ -163,9 +180,10 @@ func TestSweepChunksAlignToWorkloads(t *testing.T) {
 		t.Fatalf("%d cells per workload exceed one %d-cell chunk", per, maxChunk)
 	}
 	_, st := runMemoGrid(t, g, Options{Shards: 3})
-	n := uint64(g.NumJobs())
-	if st.Misses != 4 || st.Fallbacks != 0 || st.Hits != n-4 {
-		t.Errorf("stats = %+v, want 4 misses (one recording per workload), no fallbacks, %d hits", st, n-4)
+	n := uint64(len(g.Workloads) * memoTestDistinct)
+	if st.Misses != 4 || st.Fallbacks != 0 || st.Hits != n-4 || st.Shared != uint64(g.NumJobs())-n {
+		t.Errorf("stats = %+v, want 4 misses (one recording per workload), no fallbacks, %d hits, %d shared",
+			st, n-4, uint64(g.NumJobs())-n)
 	}
 }
 
@@ -226,6 +244,7 @@ func TestRunnerMemoPersistsAcrossRuns(t *testing.T) {
 	// A shard that first-touches the cold cell while another records it
 	// falls back to live, and that fallback counts as a miss too.
 	first := run()
+	shared := r.Shared()
 	if first.Misses != 1+first.Fallbacks {
 		t.Errorf("first run: Misses = %d, want 1 recording + %d fallbacks", first.Misses, first.Fallbacks)
 	}
@@ -233,8 +252,14 @@ func TestRunnerMemoPersistsAcrossRuns(t *testing.T) {
 	if d := second.Misses - first.Misses; d != 0 {
 		t.Errorf("second run missed %d times, want 0 (fully replayed)", d)
 	}
-	if d, want := second.Hits-first.Hits, uint64(g.NumJobs()); d != want {
+	// The 15 cells run in two chunks, [0,8) and [8,15): net and net+comb
+	// at config 1 share config 0's reports in the first, and nothing
+	// shares in the second, whose net and net+comb cells lead it.
+	if d, want := second.Hits-first.Hits, uint64(g.NumJobs()-2); d != want {
 		t.Errorf("second run hit %d times, want %d", d, want)
+	}
+	if d := r.Shared() - shared; d != 2 {
+		t.Errorf("second run shared %d jobs, want 2", d)
 	}
 }
 
@@ -282,9 +307,9 @@ func TestSweepTraceOverBudgetStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffMemoRuns(t, resident, streamed.Results)
-	st = r.MemoStats()
-	if st.Rejected != 1 || st.ResidentBytes != 0 || st.Hits != 0 {
-		t.Errorf("one-byte budget: %+v, want 1 rejected, nothing resident, no hits", st)
+	st = memoRun{r.MemoStats(), r.Shared()}
+	if st.Rejected != 1 || st.ResidentBytes != 0 || st.Hits != 0 || st.Shared != 0 {
+		t.Errorf("one-byte budget: %+v, want 1 rejected, nothing resident, no hits, nothing shared", st)
 	}
 	if want := uint64(g.NumJobs() - 1); st.Fallbacks != want {
 		t.Errorf("Fallbacks = %d, want %d (every job after the rejected decode streams)", st.Fallbacks, want)

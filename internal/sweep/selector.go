@@ -56,3 +56,94 @@ func NewSelector(name string, params core.Params) (core.Selector, error) {
 		return nil, fmt.Errorf("sweep: unknown selector %q (known: %v)", name, SelectorNames())
 	}
 }
+
+// paramSet is a set of core.Params fields, one bit per field.
+type paramSet uint16
+
+// The core.Params fields, one bit each, in declaration order
+// (TestShareProjectionCoversParams pins the order against the struct).
+const (
+	pNETThreshold paramSet = 1 << iota
+	pLEIThreshold
+	pHistoryCap
+	pTProf
+	pTMin
+	pMaxTraceInstrs
+	pMaxTraceBlocks
+	pPhaseWindow
+	pPhaseDwell
+	pAblateLEIExitGrowth
+	pAblateRejoinPaths
+	pAblateNETBackwardStop
+
+	allParams = pAblateNETBackwardStop<<1 - 1
+)
+
+// paramReads marks, for each selector name, the core.Params fields a run of
+// that selector reads; it ignores every other field. Two cells of one
+// program whose selector, read fields and cache bound agree report the
+// same, so the engine answers the later one with the earlier one's report
+// (see engine.process). TestShareProjectionCoversParams perturbs every
+// ignored field and requires byte-equal reports.
+var paramReads = map[string]paramSet{
+	NET:      netReads,
+	MojoNET:  netReads,
+	LEI:      leiReads,
+	NETComb:  pNETThreshold | combReads,
+	LEIComb:  leiReads | combReads,
+	Adaptive: allParams, // it runs all four paper selectors
+	BOA:      traceLimits,
+	WRS:      traceLimits,
+}
+
+const (
+	traceLimits = pMaxTraceInstrs | pMaxTraceBlocks
+	netReads    = pNETThreshold | traceLimits | pAblateNETBackwardStop
+	leiReads    = pLEIThreshold | pHistoryCap | traceLimits | pAblateLEIExitGrowth
+	// combReads is what trace combination adds to its base selector. The
+	// NET-based combiner qualifies heads itself and never lets a recording
+	// cross a backward branch, so it ignores AblateNETBackwardStop.
+	combReads = pTProf | pTMin | traceLimits | pAblateRejoinPaths
+)
+
+// project zeroes the fields of p outside s. A field with no bit stays, so
+// a field not yet classified counts as read.
+func (s paramSet) project(p core.Params) core.Params {
+	if s&pNETThreshold == 0 {
+		p.NETThreshold = 0
+	}
+	if s&pLEIThreshold == 0 {
+		p.LEIThreshold = 0
+	}
+	if s&pHistoryCap == 0 {
+		p.HistoryCap = 0
+	}
+	if s&pTProf == 0 {
+		p.TProf = 0
+	}
+	if s&pTMin == 0 {
+		p.TMin = 0
+	}
+	if s&pMaxTraceInstrs == 0 {
+		p.MaxTraceInstrs = 0
+	}
+	if s&pMaxTraceBlocks == 0 {
+		p.MaxTraceBlocks = 0
+	}
+	if s&pPhaseWindow == 0 {
+		p.PhaseWindow = 0
+	}
+	if s&pPhaseDwell == 0 {
+		p.PhaseDwell = 0
+	}
+	if s&pAblateLEIExitGrowth == 0 {
+		p.AblateLEIExitGrowth = false
+	}
+	if s&pAblateRejoinPaths == 0 {
+		p.AblateRejoinPaths = false
+	}
+	if s&pAblateNETBackwardStop == 0 {
+		p.AblateNETBackwardStop = false
+	}
+	return p
+}

@@ -93,7 +93,13 @@ func (g Grid) numConfigs() int {
 // NumJobs returns the size of the grid's enumeration without materializing
 // it.
 func (g Grid) NumJobs() int {
-	return len(g.Workloads) * g.numConfigs() * len(g.Selectors)
+	return len(g.Workloads) * g.PerWorkload()
+}
+
+// PerWorkload returns the number of cells of each workload, which are
+// contiguous in the enumeration: one per config and selector.
+func (g Grid) PerWorkload() int {
+	return g.numConfigs() * len(g.Selectors)
 }
 
 // JobAt returns cell i of the enumeration Jobs materializes — workload-major,
@@ -102,7 +108,7 @@ func (g Grid) NumJobs() int {
 // (internal/sweepnet) assigns contiguous index ranges over the wire and
 // workers rebuild the jobs locally from the grid with this.
 func (g Grid) JobAt(i int) Job {
-	perWorkload := g.numConfigs() * len(g.Selectors)
+	perWorkload := g.PerWorkload()
 	var c Config
 	if len(g.Configs) > 0 {
 		c = g.Configs[i%perWorkload/len(g.Selectors)]
@@ -151,6 +157,21 @@ type Shard struct {
 	//lint:keep streaming buffers; stream re-targets the reader per job
 	reader tracestream.Reader
 	rec    tracestream.MemRecorder
+
+	// base is the first job of the chunk the shard is running, and cells
+	// and reports hold each of its jobs' sharing key and report, indexed
+	// from base (see engine.process). Fixed arrays: a chunk holds at most
+	// maxChunk jobs.
+	base    int
+	cells   [maxChunk]cellKey
+	reports [maxChunk]metrics.Report
+}
+
+// cellKey is what a cell's report depends on besides its program and
+// selector: the parameters its selector reads and its cache bound.
+type cellKey struct {
+	params core.Params
+	limit  int
 }
 
 // NewShard returns an empty shard.
@@ -314,6 +335,8 @@ type Runner struct {
 	mu    sync.Mutex
 	progs progCache
 	store *tracestream.Store
+	// shared counts the jobs answered from a leader's report.
+	shared atomic.Uint64
 }
 
 // NewRunner returns an empty runner; programs are built on first use and
@@ -377,6 +400,10 @@ func (r *Runner) MemoStats() MemoStats {
 	return st.Stats()
 }
 
+// Shared returns how many of the runner's jobs were answered with an
+// earlier cell's report instead of a simulation (see engine.process).
+func (r *Runner) Shared() uint64 { return r.shared.Load() }
+
 // maxChunk bounds a chunk, the unit of work an engine worker claims: one
 // workload's cells (configs × selectors), in pieces of at most maxChunk, or
 // smaller ones in a short range (see newEngine). A workload whose cells fit
@@ -396,6 +423,9 @@ type engine struct {
 	// unclaimed chunk.
 	lo, hi, perWorkload, chunk, perChunks int
 	next                                  atomic.Int64
+	// reads is, per position in the grid's Selectors, the params fields
+	// that selector reads.
+	reads []paramSet
 
 	mu   sync.Mutex
 	errs []error
@@ -444,7 +474,7 @@ func (r *Runner) newEngine(ctx context.Context, g Grid, lo, hi int, opts Options
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	pw := g.numConfigs() * len(g.Selectors)
+	pw := g.PerWorkload()
 	chunk := min(maxChunk, pw, (hi-lo+shards-1)/shards)
 	e := &engine{
 		grid:        g,
@@ -455,6 +485,10 @@ func (r *Runner) newEngine(ctx context.Context, g Grid, lo, hi int, opts Options
 		perChunks:   (pw + chunk - 1) / chunk,
 		runner:      r,
 		store:       r.ensureStore(opts.MemoBudgetBytes),
+		reads:       make([]paramSet, len(g.Selectors)),
+	}
+	for i, name := range g.Selectors {
+		e.reads[i] = paramReads[name]
 	}
 	e.ctx, e.cancel = context.WithCancel(ctx)
 	first := e.chunkOf(lo)
@@ -506,7 +540,8 @@ func (e *engine) worker(do func(i int, shard *Shard)) {
 			return
 		}
 		b := min(a+e.chunk, (w+1)*e.perWorkload, e.hi)
-		for i := max(a, e.lo); i < b && e.ctx.Err() == nil; i++ {
+		shard.base = max(a, e.lo)
+		for i := shard.base; i < b && e.ctx.Err() == nil; i++ {
 			do(i, shard)
 		}
 	}
@@ -517,6 +552,16 @@ func (e *engine) chunkOf(i int) int {
 	return i/e.perWorkload*e.perChunks + i%e.perWorkload/e.chunk
 }
 
+// process runs job i, the shard's next job in its chunk. A job whose
+// leader — the chunk's lowest job of the same selector, the same params
+// fields that selector reads and the same cache bound — ran before it is
+// answered with a copy of the leader's report and simulates nothing: the
+// chunk is one workload's, so the two cells replay one event stream under
+// selectors that decide alike. It shares only while the store holds the
+// program's corpus, so a run whose corpora the store rejects or evicts
+// simulates every job: the one-byte-budget live reference stays an
+// independent oracle for paramReads.
+//
 //lint:hotpath per-job engine loop
 func (e *engine) process(i int, shard *Shard) {
 	job := e.grid.JobAt(i)
@@ -525,12 +570,30 @@ func (e *engine) process(i int, shard *Shard) {
 		e.fail(err)
 		return
 	}
-	rep, err := e.dispatch(shard, run, job)
-	if err != nil {
+	k := i - shard.base
+	shard.cells[k] = cellKey{e.reads[i%len(e.grid.Selectors)].project(job.Params), job.CacheLimitBytes}
+	var rep metrics.Report
+	if l := shard.leader(k, len(e.grid.Selectors)); l < k && e.store.Holds(run.key) {
+		rep = shard.reports[l]
+		e.runner.shared.Add(1)
+	} else if rep, err = e.dispatch(shard, run, job); err != nil {
 		e.fail(fmt.Errorf("sweep: %s under %s: %w", job.Workload, job.Selector, err))
 		return
 	}
+	shard.reports[k] = rep
 	e.del.Deliver(Result{Index: i, Job: job, Report: rep})
+}
+
+// leader returns the chunk index of the lowest job of the running chunk
+// whose selector (the same position in a grid of nsel selectors) and
+// sharing key match job k's; k itself when none before it does.
+func (s *Shard) leader(k, nsel int) int {
+	for l := k % nsel; l < k; l += nsel {
+		if s.cells[l] == s.cells[k] {
+			return l
+		}
+	}
+	return k
 }
 
 // fail records a job error and stops the grid.

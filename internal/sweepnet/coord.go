@@ -15,7 +15,7 @@ import (
 // Options tunes the coordinator.
 type Options struct {
 	// Chunk is the number of jobs per assigned range. <=0 picks a size
-	// from the grid and worker count.
+	// from the grid and worker count (rangeSize).
 	Chunk int
 	// Dial overrides the TCP dialer (tests inject failing or proxied
 	// connections). nil means net.Dialer.DialContext.
@@ -43,6 +43,26 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	return o
+}
+
+// rangeSize is the default range length. It aims for several rounds of
+// assignment per worker, njobs / (8 × workers) jobs, so stealing-by-
+// reassignment has granularity without descending to per-job RPCs, and
+// rounds that to a whole number of workloads, at least one: a worker then
+// holds every cell of a workload it runs, so it records the program once
+// and its engine can answer a cell from an earlier one of the same
+// workload (sweep.Runner.Shared). A workload of more than 512 cells, or
+// whole workloads that would leave fewer than inflight ranges per worker,
+// keep the unaligned cut.
+func rangeSize(njobs, perWorkload, workers int) int {
+	target := njobs / (8 * workers)
+	if perWorkload <= 512 {
+		n := max(1, (2*target+perWorkload)/(2*perWorkload)) * perWorkload
+		if (njobs+n-1)/n >= inflight*workers {
+			return n
+		}
+	}
+	return max(1, min(target, 512))
 }
 
 // jobRange is a contiguous slice [lo, hi) of the grid's job-index space.
@@ -104,10 +124,7 @@ func RunGrid(ctx context.Context, addrs []string, g sweep.Grid, opts Options, si
 	opts = opts.withDefaults()
 	chunk := opts.Chunk
 	if chunk <= 0 {
-		// Aim for several rounds of assignment per worker so stealing-by-
-		// reassignment has granularity, without descending to per-job RPCs.
-		chunk = njobs / (8 * len(addrs))
-		chunk = max(1, min(chunk, 512))
+		chunk = rangeSize(njobs, g.PerWorkload(), len(addrs))
 	}
 	// The reorder window merging worker result streams, in jobs. Admission
 	// control requires a whole range to fit it; see nextRange.

@@ -112,6 +112,18 @@ func (s *Store) Get(k Key) *Corpus {
 	return e.corpus
 }
 
+// Holds reports whether k's corpus is resident, without counting a lookup
+// or refreshing its recency: the sweep engine asks it before it answers a
+// job with another job's report, which reads no corpus.
+//
+//lint:hotpath shared-cell dispatch in the sweep engine's job loop
+func (s *Store) Holds(k Key) bool {
+	s.mu.Lock()
+	_, ok := s.entries[k]
+	s.mu.Unlock()
+	return ok
+}
+
 // Claim follows a Get miss and settles it under one lock. When another
 // caller admitted k since the miss, Claim returns that corpus and recounts
 // the miss as a hit. Otherwise it hands the caller k's fill claim (claimed

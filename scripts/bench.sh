@@ -14,7 +14,9 @@
 # the distribution overhead), BenchmarkSweepMemo (record-once/replay-many
 # trace memoization on a 16-point threshold axis, memo=rejected — a
 # one-byte corpus budget, so every job runs live — vs memo=on; the jobs/s
-# ratio is the memoization speedup), BenchmarkLEI (the
+# ratio is the memoization speedup; historycap=warm replays a HistoryCap
+# grid on a warm Runner, where the engine answers the cells net and
+# net+comb share), BenchmarkLEI (the
 # pooled-scratch LEI selection path), BenchmarkAdaptive (the adaptive
 # meta-selector on the phased workload — detector accounting plus policy
 # switches), BenchmarkCombine (the trace-combination selectors over

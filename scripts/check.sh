@@ -117,7 +117,11 @@ echo "== distributed smoke run: 2 loopback sweepd workers, jsonl diff =="
 # The trace:<path> cell rides along: loopback workers share this
 # filesystem, so the remote replay must match the local one byte for
 # byte like every other cell.
-smokegrid="workloads=gzip,vpr,phased,trace:$workdir/gzip.trace;selectors=net,lei,adaptive;scale=40;cachelimit=0,400"
+# historycap and net+comb give the grid cells that share a report (net and
+# net+comb ignore HistoryCap), so both diffs also pin shared cells: the
+# local run and the memoizing worker answer them from an earlier cell, and
+# the -memobudget 1 worker, which holds no corpus, simulates every one.
+smokegrid="workloads=gzip,vpr,phased,trace:$workdir/gzip.trace;selectors=net,lei,net+comb,adaptive;scale=40;cachelimit=0,400;historycap=100,500"
 go build -o "$workdir/sweepd" ./cmd/sweepd
 go build -o "$workdir/sweep" ./cmd/sweep
 "$workdir/sweepd" -listen 127.0.0.1:0 >"$workdir/w1.log" & w1pid=$!
@@ -161,6 +165,12 @@ diff "$workdir/local.jsonl" "$workdir/remote.jsonl" || {
 kill "$w1pid" "$w2pid"
 wait "$w1pid" "$w2pid" 2>/dev/null || true
 w1pid=""; w2pid=""
+# The drained -memobudget 1 worker holds no corpus, so it shared no cell.
+grep -q '^sweepd: memo .* shared=0$' "$workdir/w2.log" || {
+    echo "check.sh: the -memobudget 1 worker shared cells"
+    cat "$workdir/w2.log"
+    exit 1
+}
 echo "distributed output byte-identical to local"
 
 if [ "${BENCH_GATE:-1}" != "0" ]; then
