@@ -673,8 +673,8 @@ func BenchmarkSweepMemo(b *testing.B) {
 		b.Run("memo="+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var sink sweep.CountingSink
-				r := sweep.NewRunner()
-				if err := r.RunGrid(context.Background(), grid, sweep.Options{Shards: 1, MemoBudgetBytes: mode.budget}, &sink); err != nil {
+				r := sweep.NewRunnerWithBudget(mode.budget)
+				if err := r.RunGrid(context.Background(), grid, sweep.Options{Shards: 1}, &sink); err != nil {
 					b.Fatal(err)
 				}
 				if sink.N != njobs {

@@ -42,12 +42,8 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	runner := sweep.NewRunner()
-	err = sweepnet.Serve(ctx, ln, sweepnet.ServerOptions{
-		Shards:          *shards,
-		MemoBudgetBytes: *memoBudget,
-		Runner:          runner,
-	})
+	runner := sweep.NewRunnerWithBudget(*memoBudget)
+	err = sweepnet.Serve(ctx, ln, sweepnet.ServerOptions{Shards: *shards, Runner: runner})
 	if err != nil && ctx.Err() == nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(1)

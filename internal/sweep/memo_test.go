@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -58,13 +59,14 @@ type memoRun struct {
 	Shared uint64
 }
 
-// runMemoGrid executes g on a fresh runner and returns the collected
+// runMemoGrid executes g over the given shards on a fresh runner with the
+// given corpus budget (<= 0 for the default) and returns the collected
 // results plus the runner's memo counters and shared-job count.
-func runMemoGrid(t *testing.T, g Grid, opts Options) ([]Result, memoRun) {
+func runMemoGrid(t *testing.T, g Grid, shards int, budget int64) ([]Result, memoRun) {
 	t.Helper()
-	r := NewRunner()
+	r := NewRunnerWithBudget(budget)
 	var sink CollectSink
-	if err := r.RunGrid(context.Background(), g, opts, &sink); err != nil {
+	if err := r.RunGrid(context.Background(), g, Options{Shards: shards}, &sink); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.Results) != g.NumJobs() {
@@ -106,8 +108,8 @@ func diffMemoRuns(t *testing.T, off, on []Result) {
 // job runs a live dynopt.Run.
 func TestSweepMemoMatchesOff(t *testing.T) {
 	g := memoTestGrid(workloads.Names())
-	off, offStats := runMemoGrid(t, g, Options{Shards: 3, MemoBudgetBytes: 1})
-	on, onStats := runMemoGrid(t, g, Options{Shards: 3})
+	off, offStats := runMemoGrid(t, g, 3, 1)
+	on, onStats := runMemoGrid(t, g, 3, 0)
 	diffMemoRuns(t, off, on)
 
 	if offStats.Rejected != uint64(len(g.Workloads)) || offStats.Hits != 0 || offStats.Resident != 0 || offStats.Shared != 0 {
@@ -155,8 +157,8 @@ func TestSweepMemoConcurrentFirstTouch(t *testing.T) {
 	if n := g.NumJobs(); n <= (shards-1)*maxChunk {
 		t.Fatalf("%d cells fill fewer than %d chunks", n, shards)
 	}
-	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
-	on, stats := runMemoGrid(t, g, Options{Shards: shards})
+	off, _ := runMemoGrid(t, g, 1, 1)
+	on, stats := runMemoGrid(t, g, shards, 0)
 	diffMemoRuns(t, off, on)
 	// lei and lei+comb ignore NETThreshold, so a shard shares their cells
 	// within its chunk once the corpus is resident; every other job looks
@@ -179,7 +181,7 @@ func TestSweepChunksAlignToWorkloads(t *testing.T) {
 	if per := g.NumJobs() / len(g.Workloads); per > maxChunk {
 		t.Fatalf("%d cells per workload exceed one %d-cell chunk", per, maxChunk)
 	}
-	_, st := runMemoGrid(t, g, Options{Shards: 3})
+	_, st := runMemoGrid(t, g, 3, 0)
 	n := uint64(len(g.Workloads) * memoTestDistinct)
 	if st.Misses != 4 || st.Fallbacks != 0 || st.Hits != n-4 || st.Shared != uint64(g.NumJobs())-n {
 		t.Errorf("stats = %+v, want 4 misses (one recording per workload), no fallbacks, %d hits, %d shared",
@@ -195,8 +197,8 @@ func TestSweepChunksAlignToWorkloads(t *testing.T) {
 func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 	g := memoTestGrid([]string{"gzip", "vpr"})
 	gzip, vpr := cellBytes(t, "gzip"), cellBytes(t, "vpr")
-	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
-	_, full := runMemoGrid(t, g, Options{Shards: 1})
+	off, _ := runMemoGrid(t, g, 1, 1)
+	_, full := runMemoGrid(t, g, 1, 0)
 	if full.Resident != 2 || full.ResidentBytes != gzip+vpr {
 		t.Fatalf("probe run: %d corpora / %d bytes resident, want both workloads / %d bytes",
 			full.Resident, full.ResidentBytes, gzip+vpr)
@@ -204,7 +206,7 @@ func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 
 	// A budget one byte short of the working set holds either corpus but
 	// never both: admitting the second evicts the first.
-	on, st := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: gzip + vpr - 1})
+	on, st := runMemoGrid(t, g, 1, gzip+vpr-1)
 	diffMemoRuns(t, off, on)
 	if st.Evictions == 0 {
 		t.Errorf("under-working-set budget evicted nothing: %+v", st)
@@ -215,7 +217,7 @@ func TestSweepMemoBudgetEvictionFallback(t *testing.T) {
 
 	// A budget one byte short of the smaller corpus rejects every corpus;
 	// the cells go dead and every later job falls back to live execution.
-	on, st = runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: min(gzip, vpr) - 1})
+	on, st = runMemoGrid(t, g, 1, min(gzip, vpr)-1)
 	diffMemoRuns(t, off, on)
 	if st.Rejected != 2 {
 		t.Errorf("Rejected = %d, want one per workload cell", st.Rejected)
@@ -289,48 +291,88 @@ func writeTrace(t *testing.T, name string) (string, int64) {
 }
 
 // TestSweepTraceOverBudgetStreams pins the fallback for a trace file whose
-// decoded corpus exceeds the whole budget: the claiming shard decodes it
-// once, the store rejects it, and every later job streams the file from
-// disk — with reports byte-identical to a run that keeps the corpus
-// resident, and without holding the corpus per job.
+// decoded corpus exceeds the whole budget: the claiming shard refuses it by
+// its header's event count and never decodes it, and every job streams the
+// file from disk — with reports byte-identical to a run that keeps the
+// corpus resident, and without holding the corpus per job.
 func TestSweepTraceOverBudgetStreams(t *testing.T) {
 	ref, size := writeTrace(t, "gzip")
 	g := memoTestGrid([]string{ref})
-	resident, st := runMemoGrid(t, g, Options{Shards: 2})
+	resident, st := runMemoGrid(t, g, 2, 0)
 	if st.Resident != 1 || st.ResidentBytes != size {
 		t.Fatalf("default budget: %+v, want the %d-byte corpus resident", st, size)
 	}
-	opts := Options{Shards: 1, MemoBudgetBytes: 1}
-	r := NewRunner()
-	var streamed CollectSink
-	if err := r.RunGrid(context.Background(), g, opts, &streamed); err != nil {
-		t.Fatal(err)
-	}
-	diffMemoRuns(t, resident, streamed.Results)
-	st = memoRun{r.MemoStats(), r.Shared()}
+	streamed, st := runMemoGrid(t, g, 1, 1)
+	diffMemoRuns(t, resident, streamed)
 	if st.Rejected != 1 || st.ResidentBytes != 0 || st.Hits != 0 || st.Shared != 0 {
 		t.Errorf("one-byte budget: %+v, want 1 rejected, nothing resident, no hits, nothing shared", st)
 	}
 	if want := uint64(g.NumJobs() - 1); st.Fallbacks != want {
-		t.Errorf("Fallbacks = %d, want %d (every job after the rejected decode streams)", st.Fallbacks, want)
+		t.Errorf("Fallbacks = %d, want %d (every job after the refused claim streams)", st.Fallbacks, want)
 	}
 
-	// The rejected key stays rejected, so these whole runs stream. TotalAlloc
-	// counts the process's background allocation too, which only adds, so
-	// the smallest per-job figure of three runs is the one read.
-	perJob := int64(math.MaxInt64)
-	for run := 0; run < 3; run++ {
+	// Each first run of a fresh runner refuses the file; the later runs of
+	// one runner find the key rejected and stream whole. A fresh runner
+	// resolves the reference first: resolving reads the file and builds its
+	// program once per runner, whatever the budget. TotalAlloc counts the
+	// process's background allocation too, which only adds, so the smallest
+	// per-job figure of three runs of each kind is the one read.
+	perJob := func(r *Runner) int64 {
 		var ms0, ms1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
-		if err := r.RunGrid(context.Background(), g, opts, &CountingSink{}); err != nil {
+		if err := r.RunGrid(context.Background(), g, Options{Shards: 1}, &CountingSink{}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms1)
-		perJob = min(perJob, int64(ms1.TotalAlloc-ms0.TotalAlloc)/int64(g.NumJobs()))
+		return int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(g.NumJobs())
 	}
-	if perJob > size/10 {
-		t.Errorf("streamed jobs allocated %d bytes each, want well below the %d-byte corpus", perJob, size)
+	rejected := NewRunnerWithBudget(1)
+	perJob(rejected)
+	first, later := int64(math.MaxInt64), int64(math.MaxInt64)
+	for run := 0; run < 3; run++ {
+		fresh := NewRunnerWithBudget(1)
+		if _, err := fresh.progs.get(ref, 0); err != nil {
+			t.Fatal(err)
+		}
+		first = min(first, perJob(fresh))
+		later = min(later, perJob(rejected))
+	}
+	if first > size/10 || later > size/10 {
+		t.Errorf("streamed jobs allocated %d bytes each on a fresh runner and %d after, want well below the %d-byte corpus",
+			first, later, size)
+	}
+}
+
+// TestTraceDecodeErrorAbandonsClaim pins the trace-file fill's failure
+// path, the twin of TestCellVMErrorAbandonsClaim: a file rewritten after
+// its reference resolved fails the decode, each job returns that error
+// naming the job, the claim is abandoned — so the next job claims and
+// decodes again instead of falling back — and nothing stays resident.
+func TestTraceDecodeErrorAbandonsClaim(t *testing.T) {
+	ref, _ := writeTrace(t, "gzip")
+	r := NewRunner()
+	g := Grid{Workloads: []string{ref}, Selectors: []string{NET}}
+	if _, err := r.progs.get(ref, 0); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := writeTrace(t, "vpr")
+	data, err := os.ReadFile(tracestream.RefPath(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tracestream.RefPath(ref), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		err := r.RunGrid(context.Background(), g, Options{Shards: 1}, nil)
+		if err == nil || !strings.Contains(err.Error(), "changed since it was resolved") ||
+			!strings.Contains(err.Error(), ref+" under "+NET) {
+			t.Fatalf("job %d: err = %v, want the changed-file error naming the job", i, err)
+		}
+	}
+	if st := r.MemoStats(); st.Misses != 2 || st.Fallbacks != 0 || st.Resident != 0 {
+		t.Errorf("stats = %+v, want 2 claimed misses, no fallback, nothing resident", st)
 	}
 }
 
@@ -341,8 +383,8 @@ func TestSweepStoreSharedBudgetEvicts(t *testing.T) {
 	ref, trace := writeTrace(t, "gzip")
 	cell := cellBytes(t, "vpr")
 	g := memoTestGrid([]string{ref, "vpr"})
-	off, _ := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: 1})
-	on, st := runMemoGrid(t, g, Options{Shards: 1, MemoBudgetBytes: trace + cell - 1})
+	off, _ := runMemoGrid(t, g, 1, 1)
+	on, st := runMemoGrid(t, g, 1, trace+cell-1)
 	diffMemoRuns(t, off, on)
 	if st.Evictions == 0 || st.Rejected != 0 {
 		t.Errorf("budget below trace + cell: %+v, want evictions and no rejection", st)
@@ -357,9 +399,8 @@ func TestSweepStoreSharedBudgetEvicts(t *testing.T) {
 // store lookup plus the shard replay — performs no heap allocations.
 func TestShardMemoAllocFree(t *testing.T) {
 	e := &engine{runner: NewRunner()}
-	e.store = e.runner.ensureStore(0)
 	shard := NewShard()
-	run, err := e.runner.progs.get("gzip", testScale)
+	src, err := e.runner.progs.get("gzip", testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,12 +411,12 @@ func TestShardMemoAllocFree(t *testing.T) {
 			// First call records the cell; the second warms the pooled
 			// selector for this shape.
 			for i := 0; i < 2; i++ {
-				if _, err := e.dispatch(shard, run, job); err != nil {
+				if _, err := e.dispatch(shard, src, job); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := e.dispatch(shard, run, job); err != nil {
+				if _, err := e.dispatch(shard, src, job); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -442,16 +483,15 @@ func TestCellVMErrorAbandonsClaim(t *testing.T) {
 		t.Fatal("the program ran without a VM error")
 	}
 	e := &engine{runner: NewRunner()}
-	e.store = e.runner.ensureStore(0)
 	shard := NewShard()
-	run := runnable{prog: p, key: tracestream.Key{Digest: p.Digest()}}
+	src := tracestream.Source{Key: tracestream.Key{Digest: p.Digest()}, Prog: p}
 	job := Job{Workload: "ret", Selector: NET, Params: core.DefaultParams()}
 	for i := 0; i < 2; i++ {
-		if _, err := e.dispatch(shard, run, job); err == nil || err.Error() != want.Error() {
+		if _, err := e.dispatch(shard, src, job); err == nil || err.Error() != want.Error() {
 			t.Fatalf("job %d: err = %v, want %q", i, err, want)
 		}
 	}
-	if st := e.store.Stats(); st.Misses != 2 || st.Fallbacks != 0 || st.Resident != 0 {
+	if st := e.runner.MemoStats(); st.Misses != 2 || st.Fallbacks != 0 || st.Resident != 0 {
 		t.Errorf("stats = %+v, want 2 claimed misses, no fallback, nothing resident", st)
 	}
 }
@@ -465,8 +505,7 @@ func TestCellVMErrorAbandonsClaim(t *testing.T) {
 func TestRejectedCellRunsLive(t *testing.T) {
 	p := workloads.MustGet("eon").Build(testScale)
 	skipped := func(budget int64) (uint64, string) {
-		r := NewRunner()
-		r.ensureStore(budget)
+		r := NewRunnerWithBudget(budget)
 		var n uint64
 		rep, err := r.Simulate(p, NET, dynopt.Config{}, func(res dynopt.Result) { n = res.Collector.SkippedEvents })
 		if err != nil {

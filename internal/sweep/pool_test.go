@@ -14,12 +14,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// jsonlGrid renders a grid's results on a fresh Runner as the jsonl sink
-// would — one JSON report per line, in grid order.
-func jsonlGrid(t *testing.T, g Grid, opts Options) string {
+// jsonlGrid renders a grid's results on a fresh Runner with the given
+// corpus budget as the jsonl sink would — one JSON report per line, in grid
+// order.
+func jsonlGrid(t *testing.T, g Grid, shards int, budget int64) string {
 	t.Helper()
 	var sink CollectSink
-	if err := NewRunner().RunGrid(context.Background(), g, opts, &sink); err != nil {
+	if err := NewRunnerWithBudget(budget).RunGrid(context.Background(), g, Options{Shards: shards}, &sink); err != nil {
 		t.Error(err)
 		return ""
 	}
@@ -41,10 +42,10 @@ func TestConcurrentRunnersMatchSequential(t *testing.T) {
 		{Workloads: []string{"vpr", "gzip"}, Scale: testScale, Selectors: PaperSelectors(),
 			Configs: []Config{{Params: core.DefaultParams(), CacheLimitBytes: 400}}},
 	}
-	opts := []Options{{Shards: 3}, {Shards: 2, MemoBudgetBytes: 1}}
+	shards, budgets := []int{3, 2}, []int64{0, 1}
 	want := make([]string, len(grids))
 	for i := range grids {
-		want[i] = jsonlGrid(t, grids[i], opts[i])
+		want[i] = jsonlGrid(t, grids[i], shards[i], budgets[i])
 	}
 	got := make([]string, len(grids))
 	var wg sync.WaitGroup
@@ -52,7 +53,7 @@ func TestConcurrentRunnersMatchSequential(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = jsonlGrid(t, grids[i], opts[i])
+			got[i] = jsonlGrid(t, grids[i], shards[i], budgets[i])
 		}()
 	}
 	wg.Wait()
@@ -118,8 +119,8 @@ func TestRejectedRecordingDropsArena(t *testing.T) {
 	if arena() == 0 {
 		t.Fatal("an admitted recording left the shard without an arena")
 	}
-	r := NewRunner()
-	if err := r.RunGrid(context.Background(), g, Options{Shards: 1, MemoBudgetBytes: 1}, nil); err != nil {
+	r := NewRunnerWithBudget(1)
+	if err := r.RunGrid(context.Background(), g, Options{Shards: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.MemoStats(); st.Rejected != 1 {

@@ -126,14 +126,6 @@ func (g Grid) JobAt(i int) Job {
 type Options struct {
 	// Shards is the number of worker shards; <=0 means GOMAXPROCS.
 	Shards int
-	// MemoBudgetBytes bounds the Runner's resident corpora — memo
-	// recordings and decoded trace files alike; <=0 means
-	// DefaultMemoBudgetBytes. Cells whose corpus cannot fit degrade to live
-	// execution, trace files to streaming from disk; a budget of 1 runs
-	// every cell live. Only the run that creates the Runner's store
-	// (ensureStore) fixes its budget: later runs on the same Runner ignore
-	// this value.
-	MemoBudgetBytes int64
 }
 
 // Shard is the per-worker execution state: one pooled dynopt.Scratch, a
@@ -196,9 +188,11 @@ func (s *Shard) selector(name string, params core.Params) (core.Selector, error)
 	return sel, nil
 }
 
-// Run executes one job on the shard. The program must be the built form of
-// job.Workload at job.Scale; it is read-only during the run and may be
-// shared across shards.
+// Run executes one job on the shard, live. The program must be the built
+// form of job.Workload at job.Scale; it is read-only during the run and may
+// be shared across shards. The engine runs every job through its one step
+// (simulate); Run is kept for the benchmark module, which times the live
+// shard path through it, and for tests.
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Run(p *program.Program, job Job) (metrics.Report, error) {
@@ -211,7 +205,9 @@ func (s *Shard) Run(p *program.Program, job Job) (metrics.Report, error) {
 
 // Replay executes one job against a trace corpus instead of a live program
 // (Corpus.Replay), so the VM never runs. The corpus is read-only during the
-// run and may be shared across shards.
+// run and may be shared across shards. The engine replays through its one
+// step (simulate); Replay is kept for the benchmark module, which times the
+// replay stage through it, and for tests.
 //
 //lint:hotpath steady-state shard job loop (TestShardSteadyStateAllocFree)
 func (s *Shard) Replay(c *tracestream.Corpus, job Job) (metrics.Report, error) {
@@ -245,33 +241,20 @@ func (job Job) report(res dynopt.Result, err error) (metrics.Report, error) {
 // reader feeds the file's events batch by batch, so the run holds constant
 // memory and never decodes the stream whole — the fallback for a trace
 // whose corpus is not resident.
-func (s *Shard) stream(run runnable, job Job) (metrics.Report, error) {
-	f, err := os.Open(run.path)
+func (s *Shard) stream(src tracestream.Source, cfg dynopt.Config) (dynopt.Result, error) {
+	f, err := os.Open(src.Path)
 	if err != nil {
-		return metrics.Report{}, err
+		return dynopt.Result{}, err
 	}
 	defer f.Close()
 	if err := s.reader.Reset(f); err != nil {
-		return metrics.Report{}, fmt.Errorf("%w (file %s)", err, run.path)
+		return dynopt.Result{}, fmt.Errorf("%w (file %s)", err, src.Path)
 	}
 	h := s.reader.Header()
-	if err := h.CheckProgram(run.prog); err != nil {
-		return metrics.Report{}, fmt.Errorf("%w (file %s)", err, run.path)
+	if err := h.CheckProgram(src.Prog); err != nil {
+		return dynopt.Result{}, fmt.Errorf("%w (file %s)", err, src.Path)
 	}
-	cfg, err := s.config(job)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	return job.report(dynopt.RunStream(run.prog, cfg, s.reader.Feed))
-}
-
-// runnable is a resolved job input: the built (or, for a trace reference,
-// verified) program and the job's corpus-store key. path is the stream
-// file of a trace reference and empty for a registered workload.
-type runnable struct {
-	prog *program.Program
-	key  tracestream.Key
-	path string
+	return dynopt.RunStream(src.Prog, cfg, s.reader.Feed)
 }
 
 // progCache resolves each distinct (workload, scale) once and shares the
@@ -281,7 +264,7 @@ type runnable struct {
 // those live in the Runner's store, under its budget.
 type progCache struct {
 	mu sync.Mutex
-	m  map[progKey]runnable
+	m  map[progKey]tracestream.Source
 }
 
 type progKey struct {
@@ -289,7 +272,7 @@ type progKey struct {
 	scale int
 }
 
-func (pc *progCache) get(name string, scale int) (runnable, error) {
+func (pc *progCache) get(name string, scale int) (tracestream.Source, error) {
 	if tracestream.IsRef(name) {
 		// The recording fixes the scale; normalize the key so every scale
 		// maps to the one decoded corpus.
@@ -301,23 +284,22 @@ func (pc *progCache) get(name string, scale int) (runnable, error) {
 	if r, ok := pc.m[key]; ok {
 		return r, nil
 	}
-	var r runnable
+	var r tracestream.Source
 	if tracestream.IsRef(name) {
-		k, p, err := tracestream.ResolveRef(name)
-		if err != nil {
-			return runnable{}, fmt.Errorf("sweep: %w", err)
+		var err error
+		if r, err = tracestream.ResolveRef(name); err != nil {
+			return tracestream.Source{}, fmt.Errorf("sweep: %w", err)
 		}
-		r = runnable{prog: p, key: k, path: tracestream.RefPath(name)}
 	} else {
 		w, ok := workloads.Get(name)
 		if !ok {
-			return runnable{}, fmt.Errorf("sweep: unknown workload %q", name)
+			return tracestream.Source{}, fmt.Errorf("sweep: unknown workload %q", name)
 		}
 		p := w.Build(scale)
-		r = runnable{prog: p, key: tracestream.Key{Digest: p.Digest()}}
+		r = tracestream.Source{Key: tracestream.Key{Digest: p.Digest()}, Prog: p}
 	}
 	if pc.m == nil {
-		pc.m = make(map[progKey]runnable)
+		pc.m = make(map[progKey]tracestream.Source)
 	}
 	pc.m[key] = r
 	return r, nil
@@ -330,18 +312,31 @@ func (pc *progCache) get(name string, scale int) (runnable, error) {
 // the process-wide idle list (acquireShard), so even a fresh Runner runs on
 // warm shards. It is safe for concurrent use; a sweepd worker keeps one
 // Runner for its whole lifetime so every job range it executes replays the
-// same corpora.
+// same corpora. Build one with NewRunner or NewRunnerWithBudget, which fix
+// its store's budget for its lifetime.
 type Runner struct {
-	mu    sync.Mutex
 	progs progCache
 	store *tracestream.Store
 	// shared counts the jobs answered from a leader's report.
 	shared atomic.Uint64
 }
 
-// NewRunner returns an empty runner; programs are built on first use and
-// kept thereafter.
-func NewRunner() *Runner { return &Runner{} }
+// NewRunner returns an empty runner whose corpus store holds
+// DefaultMemoBudgetBytes; programs are built on first use and kept
+// thereafter.
+func NewRunner() *Runner { return NewRunnerWithBudget(0) }
+
+// NewRunnerWithBudget returns an empty runner whose corpus store bounds its
+// resident corpora — memo recordings and decoded trace files alike — to
+// budgetBytes (<= 0 means DefaultMemoBudgetBytes). A cell whose corpus
+// cannot fit runs live, a trace file streams from disk; a budget of 1 runs
+// every job live, the memo layer's reference.
+func NewRunnerWithBudget(budgetBytes int64) *Runner {
+	if budgetBytes <= 0 {
+		budgetBytes = DefaultMemoBudgetBytes
+	}
+	return &Runner{store: tracestream.NewStore(budgetBytes)}
+}
 
 // shardPool is the process-wide list of idle shards. Every engine worker
 // pops one on start and pushes it back on exit, so the list holds at most
@@ -372,33 +367,9 @@ func releaseShard(s *Shard) {
 	shardPool.mu.Unlock()
 }
 
-// ensureStore returns the runner's corpus store, creating it on first use.
-// The store — like the program cache — lives as long as the runner, so
-// successive runs replay corpora earlier runs recorded or decoded. The
-// first run to create the store fixes its budget; later runs reuse it.
-func (r *Runner) ensureStore(budgetBytes int64) *tracestream.Store {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.store == nil {
-		if budgetBytes <= 0 {
-			budgetBytes = DefaultMemoBudgetBytes
-		}
-		r.store = tracestream.NewStore(budgetBytes)
-	}
-	return r.store
-}
-
 // MemoStats snapshots the runner's corpus-store counters (zero before any
 // run).
-func (r *Runner) MemoStats() MemoStats {
-	r.mu.Lock()
-	st := r.store
-	r.mu.Unlock()
-	if st == nil {
-		return MemoStats{}
-	}
-	return st.Stats()
-}
+func (r *Runner) MemoStats() MemoStats { return r.store.Stats() }
 
 // Shared returns how many of the runner's jobs were answered with an
 // earlier cell's report instead of a simulation (see engine.process).
@@ -415,7 +386,6 @@ type engine struct {
 	cancel context.CancelFunc
 	grid   Grid
 	runner *Runner
-	store  *tracestream.Store
 	del    *OrderedSink
 	shards int
 	// [lo, hi) is the run's range; each workload's perWorkload cells split
@@ -484,7 +454,6 @@ func (r *Runner) newEngine(ctx context.Context, g Grid, lo, hi int, opts Options
 		chunk:       chunk,
 		perChunks:   (pw + chunk - 1) / chunk,
 		runner:      r,
-		store:       r.ensureStore(opts.MemoBudgetBytes),
 		reads:       make([]paramSet, len(g.Selectors)),
 	}
 	for i, name := range g.Selectors {
@@ -565,7 +534,7 @@ func (e *engine) chunkOf(i int) int {
 //lint:hotpath per-job engine loop
 func (e *engine) process(i int, shard *Shard) {
 	job := e.grid.JobAt(i)
-	run, err := e.runner.progs.get(job.Workload, job.Scale)
+	src, err := e.runner.progs.get(job.Workload, job.Scale)
 	if err != nil {
 		e.fail(err)
 		return
@@ -573,10 +542,10 @@ func (e *engine) process(i int, shard *Shard) {
 	k := i - shard.base
 	shard.cells[k] = cellKey{e.reads[i%len(e.grid.Selectors)].project(job.Params), job.CacheLimitBytes}
 	var rep metrics.Report
-	if l := shard.leader(k, len(e.grid.Selectors)); l < k && e.store.Holds(run.key) {
+	if l := shard.leader(k, len(e.grid.Selectors)); l < k && e.runner.store.Holds(src.Key) {
 		rep = shard.reports[l]
 		e.runner.shared.Add(1)
-	} else if rep, err = e.dispatch(shard, run, job); err != nil {
+	} else if rep, err = e.dispatch(shard, src, job); err != nil {
 		e.fail(fmt.Errorf("sweep: %s under %s: %w", job.Workload, job.Selector, err))
 		return
 	}

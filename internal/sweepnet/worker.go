@@ -21,18 +21,11 @@ type ServerOptions struct {
 	// executing. <=0 means 2s; it must stay well under the coordinator's
 	// heartbeat timeout (10s).
 	Heartbeat time.Duration
-	// MemoBudgetBytes bounds the worker's resident corpora, memo
-	// recordings and decoded trace files alike (<=0 means
-	// sweep.DefaultMemoBudgetBytes). The worker always memoizes, and the
-	// corpora persist across ranges and connections with the shared
-	// Runner; a budget of 1 runs every cell live. Only the first run on the
-	// Runner creates its store and fixes its budget (see
-	// sweep.Options.MemoBudgetBytes), so this value is ignored when Runner
-	// has already run.
-	MemoBudgetBytes int64
 	// Runner, when non-nil, is the pooled execution state to serve with
-	// instead of a fresh one — cmd/sweepd passes its own so it can report
-	// memo counters after draining.
+	// instead of a fresh one (sweep.NewRunner) — cmd/sweepd passes its own,
+	// built with its -memobudget, so it can report memo counters after
+	// draining. The worker always memoizes, and the corpora persist across
+	// ranges and connections with the shared Runner.
 	Runner *sweep.Runner
 }
 
@@ -236,10 +229,7 @@ func (s *session) executor(sctx context.Context) {
 			return
 		}
 		stream := &resultStream{s: s}
-		err := s.runner.RunRange(sctx, grid, r.lo, r.hi, sweep.Options{
-			Shards:          s.opts.Shards,
-			MemoBudgetBytes: s.opts.MemoBudgetBytes,
-		}, stream)
+		err := s.runner.RunRange(sctx, grid, r.lo, r.hi, sweep.Options{Shards: s.opts.Shards}, stream)
 		if err != nil {
 			if sctx.Err() != nil {
 				return // connection gone; the coordinator reassigns

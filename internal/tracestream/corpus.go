@@ -1,9 +1,6 @@
 package tracestream
 
 import (
-	"bytes"
-	"fmt"
-	"os"
 	"strings"
 	"unsafe"
 
@@ -11,7 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/program"
 	"repro/internal/vm"
-	"repro/internal/workloads"
 )
 
 // RefPrefix marks a workload name as a trace-corpus reference: everything
@@ -107,68 +103,4 @@ func (c *Corpus) SizeBytes() int64 {
 		n += c.edges.SizeBytes()
 	}
 	return n
-}
-
-// ResolveRef resolves a trace-corpus reference ("trace:<path>") without
-// decoding its events: it reads the file once to key it by content,
-// rebuilds the program its header names from the workload registry, and
-// verifies that program against the header's digest. The sweep engine
-// resolves each reference once per Runner and decodes (DecodeFile) or
-// streams the file only when a job needs its events.
-func ResolveRef(ref string) (Key, *program.Program, error) {
-	if !IsRef(ref) {
-		return Key{}, nil, fmt.Errorf("tracestream: %q is not a trace reference", ref)
-	}
-	data, err := os.ReadFile(RefPath(ref))
-	if err != nil {
-		return Key{}, nil, fmt.Errorf("tracestream: %w", err)
-	}
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		return Key{}, nil, fmt.Errorf("%w (file %s)", err, RefPath(ref))
-	}
-	h := rd.Header()
-	w, ok := workloads.Get(h.Workload)
-	if !ok {
-		return Key{}, nil, fmt.Errorf("tracestream: stream records unknown workload %q", h.Workload)
-	}
-	p := w.Build(h.Scale)
-	if err := h.CheckProgram(p); err != nil {
-		return Key{}, nil, fmt.Errorf("%w (workload %s scale %d)", err, h.Workload, h.Scale)
-	}
-	return Key{Digest: fnv64(data)}, p, nil
-}
-
-// DecodeFile fully decodes the stream file at path into a corpus of
-// program p, which ResolveRef returned for the same file under key k. The
-// file must still hold the content k was taken from.
-func DecodeFile(path string, k Key, p *program.Program) (*Corpus, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tracestream: %w", err)
-	}
-	if fnv64(data) != k.Digest {
-		return nil, fmt.Errorf("tracestream: %s changed since it was resolved", path)
-	}
-	s, err := DecodeBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (file %s)", err, path)
-	}
-	c := NewCorpus(s, p)
-	c.FileDigest = k.Digest
-	return c, nil
-}
-
-// fnv64 is FNV-1a over the raw stream bytes — a file's content key.
-func fnv64(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
 }

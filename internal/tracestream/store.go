@@ -3,6 +3,9 @@ package tracestream
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/dynopt"
+	"repro/internal/vm"
 )
 
 // Key identifies a corpus by content. A trace file is keyed by the digest
@@ -51,10 +54,12 @@ func (st StoreStats) String() string {
 // its key is never filled again, so callers degrade to their slower
 // fallback instead of thrashing the working set.
 //
-// A missing key is filled under a claim: after a Get miss, Claim hands the
-// key to exactly one caller, who builds the corpus and ends the claim with
-// Admit (Reject when the corpus cannot fit, Abandon on failure). Every other caller takes its fallback
-// without blocking; the output is the same either way.
+// A missing key is filled under a claim: Claim hands the key to exactly one
+// caller, who builds the corpus and ends the claim with one of the two
+// fills — FillFile for a trace file, FillRecording for a memo recording —
+// which refuse a corpus that cannot fit before building it, abandon the
+// claim on an error and admit the rest. Every other caller takes its
+// fallback without blocking; the output is the same either way.
 type Store struct {
 	mu      sync.Mutex
 	budget  int64
@@ -93,25 +98,6 @@ func NewStore(budgetBytes int64) *Store {
 // own their stores.
 var DefaultCache = NewStore(256 << 20)
 
-// Get returns the resident corpus for k, or nil on a miss, refreshing the
-// entry's recency. It sits on the sweep engine's replay dispatch, so the
-// hit path stays allocation-free.
-//
-//lint:hotpath corpus replay dispatch (sweep.TestShardMemoAllocFree)
-func (s *Store) Get(k Key) *Corpus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	e, ok := s.entries[k]
-	if !ok {
-		s.stats.Misses++
-		return nil
-	}
-	e.used = s.gen
-	s.stats.Hits++
-	return e.corpus
-}
-
 // Holds reports whether k's corpus is resident, without counting a lookup
 // or refreshing its recency: the sweep engine asks it before it answers a
 // job with another job's report, which reads no corpus.
@@ -124,27 +110,80 @@ func (s *Store) Holds(k Key) bool {
 	return ok
 }
 
-// Claim follows a Get miss and settles it under one lock. When another
-// caller admitted k since the miss, Claim returns that corpus and recounts
-// the miss as a hit. Otherwise it hands the caller k's fill claim (claimed
-// true), or — when another caller holds the claim or k's corpus was
-// rejected — neither, counted as a fallback.
+// Claim is the store's one lookup, settled under one lock: it returns k's
+// resident corpus (a hit, refreshing its recency), or hands the caller k's
+// fill claim (claimed true, a miss), or — when another caller holds the
+// claim or k's corpus was rejected — neither, a miss counted as a
+// fallback. The claimant ends the claim with FillFile or FillRecording (or
+// Admit, Reject or Abandon directly). It sits on the sweep engine's replay
+// dispatch, so the hit path stays allocation-free.
+//
+//lint:hotpath corpus replay dispatch (sweep.TestShardMemoAllocFree)
 func (s *Store) Claim(k Key) (c *Corpus, claimed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[k]; ok {
 		s.gen++
 		e.used = s.gen
-		s.stats.Misses--
 		s.stats.Hits++
 		return e.corpus, false
 	}
+	s.stats.Misses++
 	if s.filling[k] || s.rejected[k] {
 		s.stats.Fallbacks++
 		return nil, false
 	}
 	s.filling[k] = true
 	return nil, true
+}
+
+// FillFile ends the caller's claim on src.Key with src's trace file. It
+// refuses a file whose header's event count alone exceeds the whole budget
+// without reading it, abandons the claim on an error, and returns the
+// admitted corpus — nil when the store refused it, which the caller must
+// not replay: its fallback streams the file.
+func (s *Store) FillFile(src Source) (*Corpus, error) {
+	if s.Reject(src.Key, int64(src.Events)*eventBytes) {
+		return nil, nil
+	}
+	c, err := DecodeFile(src)
+	if err != nil {
+		s.Abandon(src.Key)
+		return nil, err
+	}
+	if !s.Admit(src.Key, c) {
+		return nil, nil
+	}
+	return c, nil
+}
+
+// FillRecording ends the caller's claim on src.Key by interpreting src.Prog
+// alone into rec (dynopt.Record, on scratch's VM at its default bounds) and
+// admitting the recording. It refuses a recording whose events alone exceed
+// the whole budget before sealing it, and then drops rec's arena, so a
+// recorder keeps no arena grown for a corpus no store had room for. A VM
+// error abandons the claim and reads as dynopt.Run's. It returns the
+// admitted corpus — nil when the store refused it, which the caller must
+// not replay: its fallback runs the program live, which keeps a one-byte
+// budget the live reference.
+//
+// rec is reset for the recording and otherwise keeps its arena, so a
+// long-lived recorder records into an arena an earlier recording already
+// grew, and the corpus costs one copy.
+func (s *Store) FillRecording(src Source, scratch *dynopt.Scratch, rec *MemRecorder) (*Corpus, error) {
+	rec.Reset(src.Prog, "", 0)
+	st, err := dynopt.Record(src.Prog, vm.Config{}, scratch, rec)
+	if err != nil {
+		s.Abandon(src.Key)
+		return nil, err
+	}
+	if !s.Reject(src.Key, rec.EventBytes()) {
+		if c := &rec.Corpus(st).Corpus; s.Admit(src.Key, c) {
+			return c, nil
+		}
+	}
+	*rec = MemRecorder{}
+	return nil, nil
 }
 
 // Admit ends the caller's claim on k by publishing corpus c, evicting
@@ -223,30 +262,23 @@ func (s *Store) Stats() StoreStats {
 }
 
 // LoadRef returns the decoded corpus of a trace-corpus reference
-// ("trace:<path>"), decoding the file on first sight of its content and
-// admitting it under the budget. A corpus too big for the budget is still
-// returned, decoded afresh by every load.
+// ("trace:<path>"), filling the store with it (FillFile) on first sight of
+// its content. Loads are serialized, so concurrent loads of one file share
+// one decode. A corpus too big for the budget is still returned, decoded
+// afresh by every load.
 func (s *Store) LoadRef(ref string) (*Corpus, error) {
-	k, p, err := ResolveRef(ref)
+	src, err := ResolveRef(ref)
 	if err != nil {
 		return nil, err
 	}
 	s.loading.Lock()
 	defer s.loading.Unlock()
-	if c := s.Get(k); c != nil {
-		return c, nil
-	}
-	c, claimed := s.Claim(k)
-	if c != nil {
-		return c, nil
-	}
-	c, err = DecodeFile(RefPath(ref), k, p)
+	c, claimed := s.Claim(src.Key)
 	if claimed {
-		if err != nil {
-			s.Abandon(k)
-		} else {
-			s.Admit(k, c)
-		}
+		c, err = s.FillFile(src)
+	}
+	if c == nil && err == nil {
+		return DecodeFile(src)
 	}
 	return c, err
 }

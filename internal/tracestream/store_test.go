@@ -47,11 +47,11 @@ func corpusOf(t *testing.T, n int) *tracestream.Corpus {
 // fileKey returns the store key of a trace reference.
 func fileKey(t *testing.T, ref string) tracestream.Key {
 	t.Helper()
-	k, _, err := tracestream.ResolveRef(ref)
+	src, err := tracestream.ResolveRef(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k
+	return src.Key
 }
 
 // mustLoad loads a trace reference through s.
@@ -68,9 +68,6 @@ func mustLoad(t *testing.T, s *tracestream.Store, ref string) *tracestream.Corpu
 // engine's recording shard does.
 func admit(t *testing.T, s *tracestream.Store, k tracestream.Key, c *tracestream.Corpus) {
 	t.Helper()
-	if s.Get(k) != nil {
-		t.Fatalf("%+v resident before its fill", k)
-	}
 	if got, claimed := s.Claim(k); got != nil || !claimed {
 		t.Fatalf("claim on a free key %+v = (%p, %v), want the claim", k, got, claimed)
 	}
@@ -135,19 +132,19 @@ func TestStoreByteBoundLRU(t *testing.T) {
 	// Refresh the file, so the cell is the victim of the next admission.
 	mustLoad(t, s, ref)
 	admit(t, s, cell(1), corpusOf(t, 10))
-	if s.Get(cell(0)) != nil {
+	if s.Holds(cell(0)) {
 		t.Error("LRU cell still resident; want evicted")
 	}
-	if s.Get(file) == nil {
+	if !s.Holds(file) {
 		t.Error("recently used file evicted; want resident")
 	}
 
 	// Refresh the cell, so the file is the victim of the next admission.
-	if s.Get(cell(1)) == nil {
+	if c, _ := s.Claim(cell(1)); c == nil {
 		t.Fatal("resident cell missed")
 	}
 	admit(t, s, cell(2), corpusOf(t, 10))
-	if s.Get(file) != nil {
+	if s.Holds(file) {
 		t.Error("LRU file still resident; want evicted")
 	}
 	st := s.Stats()
@@ -162,8 +159,8 @@ func TestStoreByteBoundLRU(t *testing.T) {
 }
 
 // TestMemBudgetLRUEviction covers the byte-budgeted LRU over cell keys:
-// admission evicts the least-recently-used corpus (with Get refreshing
-// recency), oversized corpora are rejected without disturbing the resident
+// admission evicts the least-recently-used corpus (with a Claim hit
+// refreshing recency), oversized corpora are rejected without disturbing the resident
 // set, the counters record every outcome, and admitting a resident key
 // again replaces its corpus without growing occupancy.
 func TestMemBudgetLRUEviction(t *testing.T) {
@@ -184,28 +181,27 @@ func TestMemBudgetLRUEviction(t *testing.T) {
 		admit(t, s, k(i), corpusOf(t, 10))
 	}
 	// Refresh k0, then admit a fourth corpus: k1 is now the LRU victim.
-	if s.Get(k(0)) == nil {
+	if c, _ := s.Claim(k(0)); c == nil {
 		t.Fatal("resident corpus k0 missed")
 	}
 	admit(t, s, k(3), corpusOf(t, 10))
-	if s.Get(k(1)) != nil {
+	if s.Holds(k(1)) {
 		t.Error("LRU victim k1 still resident; want evicted")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if s.Get(k(i)) == nil {
+		if !s.Holds(k(i)) {
 			t.Errorf("k%d evicted; want resident", i)
 		}
 	}
 
 	// A corpus bigger than the whole budget must be rejected outright.
-	s.Get(k(4))
 	if _, claimed := s.Claim(k(4)); !claimed {
 		t.Fatal("free key k4 not claimed")
 	}
 	if s.Admit(k(4), big) {
 		t.Error("oversized corpus admitted; want rejected")
 	}
-	if s.Get(k(4)) != nil {
+	if s.Holds(k(4)) {
 		t.Error("rejected corpus resident")
 	}
 
@@ -229,7 +225,7 @@ func TestMemBudgetLRUEviction(t *testing.T) {
 		t.Errorf("after replace: %d corpora / %d bytes / %d evictions, want 3 / %d / 1",
 			st.Resident, st.ResidentBytes, st.Evictions, 3*unit)
 	}
-	if s.Get(k(0)) != repl {
+	if c, _ := s.Claim(k(0)); c != repl {
 		t.Error("replaced key serves its old corpus")
 	}
 }
@@ -244,7 +240,7 @@ func TestStoreRejectsOversizedCorpus(t *testing.T) {
 	admit(t, s, tracestream.Key{Digest: 1}, corpusOf(t, 10))
 	admit(t, s, tracestream.Key{Digest: 2}, corpusOf(t, 10))
 	big := tracestream.Key{Digest: 3}
-	if s.Get(big) != nil {
+	if s.Holds(big) {
 		t.Fatal("unfilled key resident")
 	}
 	if _, claimed := s.Claim(big); !claimed {
@@ -256,7 +252,6 @@ func TestStoreRejectsOversizedCorpus(t *testing.T) {
 	if st := s.Stats(); st.Rejected != 1 || st.Resident != 2 || st.ResidentBytes != 2*unit {
 		t.Errorf("after rejection: %+v, want 1 rejected, 2 resident / %d bytes", st, 2*unit)
 	}
-	s.Get(big)
 	if c, claimed := s.Claim(big); c != nil || claimed {
 		t.Errorf("rejected key claimed again: (%p, %v)", c, claimed)
 	}
@@ -284,7 +279,6 @@ func TestStoreRejectsBeforeBuild(t *testing.T) {
 	s := tracestream.NewStore(c.SizeBytes())
 	fits, big := tracestream.Key{Digest: 1}, tracestream.Key{Digest: 2}
 	for _, k := range []tracestream.Key{fits, big} {
-		s.Get(k)
 		if _, claimed := s.Claim(k); !claimed {
 			t.Fatalf("free key %v not claimed", k)
 		}
@@ -298,7 +292,6 @@ func TestStoreRejectsBeforeBuild(t *testing.T) {
 	if !s.Reject(big, c.SizeBytes()+1) {
 		t.Fatal("Reject kept a size over the whole budget")
 	}
-	s.Get(big)
 	if got, claimed := s.Claim(big); got != nil || claimed {
 		t.Errorf("rejected key claimed again: (%p, %v)", got, claimed)
 	}
@@ -307,49 +300,76 @@ func TestStoreRejectsBeforeBuild(t *testing.T) {
 	}
 }
 
-// TestStoreClaimFindsResident closes the first-touch race: shard A misses a
-// key, shard B claims and publishes it, and only then does A claim. A must
-// be handed B's corpus to replay instead of a claim to record the key
-// again, and the counters must stay exact — A's miss becomes a hit, so
-// every miss is still one fill or one fallback.
+// TestStoreClaimFindsResident covers the first-touch race: shard B claims
+// and publishes a key, and only then does shard A claim it. A must be handed
+// B's corpus to replay instead of a claim to record the key again, and the
+// counters must stay exact — B's claim is the one miss, A's is a hit.
 func TestStoreClaimFindsResident(t *testing.T) {
 	s := tracestream.NewStore(1 << 20)
 	k := tracestream.Key{Digest: 60}
-	if s.Get(k) != nil { // A misses
-		t.Fatal("empty store hit")
-	}
 	want := corpusOf(t, 10)
-	admit(t, s, k, want) // B misses, claims and publishes
+	admit(t, s, k, want) // B claims and publishes
 	got, claimed := s.Claim(k)
 	if got != want || claimed {
 		t.Fatalf("claim after publication = (%p, %v), want the resident corpus %p and no claim", got, claimed, want)
 	}
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Misses != 1+st.Fallbacks {
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Fallbacks != 0 {
 		t.Errorf("stats = %+v, want 1 hit and 1 miss (B's fill)", st)
 	}
 }
 
-// TestStoreClaimLosersFallBack pins the fill protocol's other outcomes:
-// while one caller holds a key's claim every other claim falls back
-// without blocking, and abandoning the claim frees the key.
+// TestStoreClaimLosersFallBack pins the claim protocol's outcomes and the
+// counting invariant over them: while one caller holds a key's claim every
+// other claim falls back without blocking, abandoning the claim frees the
+// key, a rejected key falls back for good, and a resident key is a hit.
+// Claim is the one lookup, so every call counts exactly once — Hits +
+// Misses equals the calls, and the fallbacks are a subset of the misses.
 func TestStoreClaimLosersFallBack(t *testing.T) {
 	s := tracestream.NewStore(1 << 20)
-	k := tracestream.Key{Digest: 60}
-	s.Get(k)
-	if _, claimed := s.Claim(k); !claimed {
+	calls := uint64(0)
+	claim := func(k tracestream.Key) (*tracestream.Corpus, bool) {
+		calls++
+		return s.Claim(k)
+	}
+	k, big, hot := tracestream.Key{Digest: 60}, tracestream.Key{Digest: 61}, tracestream.Key{Digest: 62}
+	if _, claimed := claim(k); !claimed {
 		t.Fatal("free key not claimed")
 	}
-	s.Get(k)
-	if c, claimed := s.Claim(k); c != nil || claimed {
+	if c, claimed := claim(k); c != nil || claimed {
 		t.Errorf("second claim while filling = (%p, %v), want a fallback", c, claimed)
 	}
 	s.Abandon(k)
-	s.Get(k)
-	if _, claimed := s.Claim(k); !claimed {
+	if _, claimed := claim(k); !claimed {
 		t.Error("abandoned key not claimable")
 	}
 	if st := s.Stats(); st.Misses != 3 || st.Fallbacks != 1 || st.Hits != 0 {
 		t.Errorf("stats = %+v, want 3 misses, 1 fallback", st)
+	}
+
+	if _, claimed := claim(big); !claimed || !s.Reject(big, 2<<20) {
+		t.Fatal("free key not claimed and rejected")
+	}
+	want := corpusOf(t, 10)
+	if _, claimed := claim(hot); !claimed || !s.Admit(hot, want) {
+		t.Fatal("free key not claimed and admitted")
+	}
+	for i := 0; i < 3; i++ {
+		if c, claimed := claim(big); c != nil || claimed {
+			t.Errorf("claim on a rejected key = (%p, %v), want a fallback", c, claimed)
+		}
+		if c, claimed := claim(hot); c != want || claimed {
+			t.Errorf("claim on a resident key = (%p, %v), want the corpus %p and no claim", c, claimed, want)
+		}
+		if c, claimed := claim(k); c != nil || claimed {
+			t.Errorf("claim while its claimant fills = (%p, %v), want a fallback", c, claimed)
+		}
+	}
+	st := s.Stats()
+	if st.Hits+st.Misses != calls || st.Fallbacks > st.Misses {
+		t.Errorf("stats = %+v over %d claims: want hits + misses = claims, fallbacks <= misses", st, calls)
+	}
+	if st.Hits != 3 || st.Misses != 11 || st.Fallbacks != 7 || st.Rejected != 1 {
+		t.Errorf("stats = %+v, want 3 hits and 11 misses: 4 claims, 7 fallbacks, 1 rejected", st)
 	}
 }
 
@@ -390,11 +410,11 @@ func TestStoreConcurrentLoadsShareDecode(t *testing.T) {
 func TestDecodeFileRejectsChangedFile(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTrace(t, dir, "gzip", 30)
-	k, p, err := tracestream.ResolveRef(tracestream.RefPrefix + path)
+	src, err := tracestream.ResolveRef(tracestream.RefPrefix + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tracestream.DecodeFile(path, k, p); err != nil {
+	if _, err := tracestream.DecodeFile(src); err != nil {
 		t.Fatalf("unchanged file: %v", err)
 	}
 	other, err := os.ReadFile(writeTrace(t, dir, "gzip", 31))
@@ -404,7 +424,7 @@ func TestDecodeFileRejectsChangedFile(t *testing.T) {
 	if err := os.WriteFile(path, other, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tracestream.DecodeFile(path, k, p); err == nil {
+	if _, err := tracestream.DecodeFile(src); err == nil {
 		t.Error("file rewritten after resolution decoded under its old key")
 	}
 }

@@ -14,7 +14,8 @@
 # event arenas and edge tables, region walks), a
 # sweep smoke run through the cmd/sweep CLI covering the adaptive
 # selector next to the statics and a trace:<path> corpus recorded by
-# cmd/tracerec, a CLI smoke run (regionsim's trace:<path> replay diffed
+# cmd/tracerec (and read back through its -info and -verify, the second
+# going through the corpus store's trace-file fill), a CLI smoke run (regionsim's trace:<path> replay diffed
 # against the live run it recorded, a two-selector regionsim run diffed
 # against the two single-selector runs, and traceviz on asm:<path> and
 # trace:<path> references), a papertables smoke run (-sweeps -markdown
@@ -74,6 +75,7 @@ trap 'rm -rf "$workdir"; [ -n "${w1pid:-}" ] && kill "$w1pid" 2>/dev/null; [ -n 
 echo "== trace corpus smoke: record with cmd/tracerec, sweep trace:<path> =="
 go run ./cmd/tracerec -workload gzip -scale 40 -out "$workdir/gzip.trace"
 go run ./cmd/tracerec -info "$workdir/gzip.trace"
+go run ./cmd/tracerec -verify "$workdir/gzip.trace"
 go run ./cmd/sweep \
     -grid "workloads=gzip,vpr,trace:$workdir/gzip.trace;selectors=net,lei,adaptive;scale=40;cachelimit=0,400" \
     -shards 2 -sink none
