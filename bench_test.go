@@ -648,9 +648,10 @@ func BenchmarkCombine(b *testing.B) {
 // historycap=warm times the sweep engine's shared cells: the same two
 // workloads × 8 HistoryCap values × the paper's four selectors and
 // adaptive, replayed on one Runner whose memo a run before the timer
-// filled. net and net+comb ignore HistoryCap, so each workload's 40 cells
-// run 26 simulations and answer 14 from an earlier cell's report; it
-// reports shared/op alongside jobs/s.
+// filled. net and net+comb ignore HistoryCap, and the other three share
+// a capacity inside an earlier run's history span, so the 80 cells run 10
+// simulations and answer 70 from an earlier cell's report; it reports
+// shared/op alongside jobs/s.
 func BenchmarkSweepMemo(b *testing.B) {
 	var cfgs []sweep.Config
 	for _, th := range []int{4, 6, 8, 12, 16, 24, 32, 40, 48, 56, 64, 80, 96, 112, 128, 160} {

@@ -14,6 +14,7 @@ package core
 
 import (
 	"repro/internal/isa"
+	"repro/internal/profile"
 	"repro/internal/vm"
 )
 
@@ -293,6 +294,9 @@ type PhaseSelector struct {
 	accObservedTraces uint64
 	accCountersHigh   int
 	accObservedHigh   int
+	// retiredSpan intersects the history spans of the policy runs retired
+	// by a switch, read before their Reset clears them.
+	retiredSpan profile.Span
 }
 
 // NewAdaptive returns an adaptive meta-selector over all four static
@@ -306,6 +310,7 @@ func NewAdaptive(params Params) *PhaseSelector {
 	a.subs[PolicyLEIComb] = NewCombiner(BaseLEI, a.params)
 	a.det.reset(a.params.PhaseWindow, a.params.PhaseDwell)
 	a.active = PolicyNET
+	a.retiredSpan = profile.FullSpan
 	return a
 }
 
@@ -355,6 +360,9 @@ func (a *PhaseSelector) switchTo(env Env, next Policy) {
 	if st.ObservedBytesHighWater > a.accObservedHigh {
 		a.accObservedHigh = st.ObservedBytesHighWater
 	}
+	if s, ok := out.(HistorySpanner); ok {
+		a.retiredSpan = a.retiredSpan.Intersect(s.HistorySpan())
+	}
 	out.(Resettable).Reset(a.params)
 	env.Cache().FlushPartition()
 	a.active = next
@@ -378,6 +386,19 @@ func (a *PhaseSelector) Stats() ProfileStats {
 	return st
 }
 
+// HistorySpan implements HistorySpanner: the spans of every policy's
+// current run intersected with those of the runs a switch retired, since
+// each of them ran under the one configured capacity.
+func (a *PhaseSelector) HistorySpan() profile.Span {
+	span := a.retiredSpan
+	for _, s := range a.subs {
+		if h, ok := s.(HistorySpanner); ok {
+			span = span.Intersect(h.HistorySpan())
+		}
+	}
+	return span
+}
+
 // Reset implements Resettable: every policy instance is re-armed in place
 // (keeping its allocated tables for reuse), the detector restarts, and the
 // absorbed statistics clear.
@@ -392,6 +413,7 @@ func (a *PhaseSelector) Reset(params Params) {
 	a.accObservedTraces = 0
 	a.accCountersHigh = 0
 	a.accObservedHigh = 0
+	a.retiredSpan = profile.FullSpan
 }
 
 // Preallocate implements Preallocator by pre-sizing every policy's dense

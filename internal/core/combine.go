@@ -345,6 +345,15 @@ func (c *Combiner) Reset(params Params) {
 	c.iterations = [3]uint64{}
 }
 
+// HistorySpan implements HistorySpanner: the span of the LEI base's buffer.
+// The NET base keeps no history, so any capacity runs it alike.
+func (c *Combiner) HistorySpan() profile.Span {
+	if c.buf == nil {
+		return profile.FullSpan
+	}
+	return c.buf.Span()
+}
+
 // Stats implements Selector.
 func (c *Combiner) Stats() ProfileStats {
 	s := ProfileStats{

@@ -15,6 +15,7 @@ package core
 import (
 	"repro/internal/codecache"
 	"repro/internal/isa"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/vm"
 )
@@ -103,6 +104,16 @@ type Selector interface {
 // Selectors that are not Resettable are simply rebuilt per run.
 type Resettable interface {
 	Reset(params Params)
+}
+
+// HistorySpanner is implemented by the selectors that read
+// Params.HistoryCap, which they read only as the capacity of their LEI
+// history buffers. HistorySpan reports the capacities under which the last
+// run, since a Reset, would have run exactly as it did: the intersection of
+// its buffers' spans (profile.HistoryBuffer.Span), or profile.FullSpan when
+// it ran none.
+type HistorySpanner interface {
+	HistorySpan() profile.Span
 }
 
 // Preallocator is implemented by selectors whose dense, address-indexed

@@ -63,6 +63,9 @@ func (l *LEI) Reset(params Params) {
 	l.counters.Reset()
 }
 
+// HistorySpan implements HistorySpanner: the span of the run's one buffer.
+func (l *LEI) HistorySpan() profile.Span { return l.buf.Span() }
+
 // Transfer implements Selector. This is INTERPRETED-BRANCH-TAKEN of
 // Figure 5; the cached-target fast path (lines 1–4) records an enter entry
 // for path reconstruction and skips profiling, and the jump into a newly

@@ -62,63 +62,115 @@ func TestDiffRandomPrograms(t *testing.T) {
 
 // TestDiffHistoryBuffer drives the dense-hash production history buffer and
 // the frozen map-hash reference through identical randomized operation
-// streams — insert, the LEI lookup/set-hash pair, and truncation — and
-// requires identical positions, hit/miss results, and cycle contents.
+// streams — insert, the LEI lookup/set-hash pair, and truncation after a
+// position at or above a lookup's hit, as LEI truncates — and requires
+// identical positions, hit/miss results, and cycle contents. After each
+// stream it replays the stream on the reference at every capacity of the
+// dense buffer's span, which must answer every lookup alike, and one below
+// it, which must answer one differently: the span is sound, and tight from
+// below.
 func TestDiffHistoryBuffer(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
+	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		capacity := 1 + rng.Intn(17)
+		// Few addresses, short streams or large buffers leave a span wider
+		// than the capacity itself.
+		capacity := 1 + rng.Intn(40)
+		addrs, nops := 4+rng.Intn(45), 50+rng.Intn(2500)
 		dense := profile.NewHistoryBuffer(capacity)
 		ref := NewRefHistoryBuffer(capacity)
 		if dense.Cap() != ref.Cap() {
 			t.Fatalf("seed %d: cap %d != %d", seed, dense.Cap(), ref.Cap())
 		}
-		for op := 0; op < 2500; op++ {
-			src := isa.Addr(rng.Intn(48))
-			tgt := isa.Addr(rng.Intn(48))
-			kind := profile.EntryKind(rng.Intn(3))
-			switch rng.Intn(10) {
-			case 0: // truncate after a random resident position
-				if dense.Len() == 0 {
-					continue
+		var ops []histOp
+		var answers []histAnswer
+		for op := 0; op < nops; op++ {
+			o := histOp{src: isa.Addr(rng.Intn(addrs)), tgt: isa.Addr(rng.Intn(addrs)), kind: profile.EntryKind(rng.Intn(3))}
+			dseq := dense.Insert(o.src, o.tgt, o.kind)
+			rseq := ref.Insert(o.src, o.tgt, o.kind)
+			if dseq != rseq {
+				t.Fatalf("seed %d op %d: insert seq %d != %d", seed, op, dseq, rseq)
+			}
+			dold, dok := dense.Lookup(o.tgt)
+			rold, rok := ref.Lookup(o.tgt)
+			if dok != rok || (dok && dold != rold) {
+				t.Fatalf("seed %d op %d: lookup (%d,%v) != (%d,%v)", seed, op, dold, dok, rold, rok)
+			}
+			if dok {
+				de, re := dense.At(dold), ref.At(rold)
+				if de.Src != re.Src || de.Tgt != re.Tgt || de.Kind != re.Kind {
+					t.Fatalf("seed %d op %d: entry %+v != %+v", seed, op, de, re)
 				}
-				pos := dense.Last() - uint64(rng.Intn(dense.Len()))
-				dense.TruncateAfter(pos)
-				ref.TruncateAfter(pos)
-			default: // the LEI insert/lookup/set-hash sequence
-				dseq := dense.Insert(src, tgt, kind)
-				rseq := ref.Insert(src, tgt, kind)
-				if dseq != rseq {
-					t.Fatalf("seed %d op %d: insert seq %d != %d", seed, op, dseq, rseq)
+				dafter, rafter := dense.After(dold), ref.After(rold)
+				if len(dafter) != len(rafter) {
+					t.Fatalf("seed %d op %d: cycle length %d != %d", seed, op, len(dafter), len(rafter))
 				}
-				dold, dok := dense.Lookup(tgt)
-				rold, rok := ref.Lookup(tgt)
-				if dok != rok || (dok && dold != rold) {
-					t.Fatalf("seed %d op %d: lookup (%d,%v) != (%d,%v)", seed, op, dold, dok, rold, rok)
-				}
-				if dok {
-					de, re := dense.At(dold), ref.At(rold)
-					if de.Src != re.Src || de.Tgt != re.Tgt || de.Kind != re.Kind {
-						t.Fatalf("seed %d op %d: entry %+v != %+v", seed, op, de, re)
-					}
-					dafter, rafter := dense.After(dold), ref.After(rold)
-					if len(dafter) != len(rafter) {
-						t.Fatalf("seed %d op %d: cycle length %d != %d", seed, op, len(dafter), len(rafter))
-					}
-					for i := range dafter {
-						if dafter[i].Src != rafter[i].Src || dafter[i].Tgt != rafter[i].Tgt || dafter[i].Kind != rafter[i].Kind {
-							t.Fatalf("seed %d op %d: cycle entry %d: %+v != %+v", seed, op, i, dafter[i], rafter[i])
-						}
+				for i := range dafter {
+					if dafter[i].Src != rafter[i].Src || dafter[i].Tgt != rafter[i].Tgt || dafter[i].Kind != rafter[i].Kind {
+						t.Fatalf("seed %d op %d: cycle entry %d: %+v != %+v", seed, op, i, dafter[i], rafter[i])
 					}
 				}
-				dense.SetHash(tgt, dseq)
-				ref.SetHash(tgt, rseq)
+			}
+			dense.SetHash(o.tgt, dseq)
+			ref.SetHash(o.tgt, rseq)
+			if dok && rng.Intn(4) == 0 {
+				o.truncate, o.pos = true, dold+uint64(rng.Intn(int(dense.Last()-dold)+1))
+				dense.TruncateAfter(o.pos)
+				ref.TruncateAfter(o.pos)
 			}
 			if dense.Len() != ref.Len() {
 				t.Fatalf("seed %d op %d: len %d != %d", seed, op, dense.Len(), ref.Len())
 			}
+			ops = append(ops, o)
+			answers = append(answers, histAnswer{dold, dok})
+		}
+		span := dense.Span()
+		if !span.Contains(capacity) {
+			t.Fatalf("seed %d: span %+v misses the capacity %d", seed, span, capacity)
+		}
+		for c := max(span.Lo, 1); c <= min(span.Hi, capacity+32); c++ {
+			if i := replayHistory(ops, answers, c); i >= 0 {
+				t.Fatalf("seed %d (capacity %d, span %+v): capacity %d answers lookup %d differently", seed, capacity, span, c, i)
+			}
+		}
+		if span.Lo > 0 && replayHistory(ops, answers, span.Lo-1) < 0 {
+			t.Fatalf("seed %d (capacity %d, span %+v): capacity %d answers every lookup alike, so the span is not tight", seed, capacity, span, span.Lo-1)
 		}
 	}
+}
+
+// histOp is one step of an LEI-shaped history stream: insert a transfer,
+// look its target up, point the hash at the new entry, and truncate after
+// pos when truncate is set.
+type histOp struct {
+	src, tgt isa.Addr
+	kind     profile.EntryKind
+	truncate bool
+	pos      uint64
+}
+
+// histAnswer is one Lookup result.
+type histAnswer struct {
+	seq uint64
+	ok  bool
+}
+
+// replayHistory runs ops on a fresh reference buffer of the given capacity
+// and returns the index of the first lookup that does not answer as in
+// want, or -1. A stream truncates only after a hit, at or above it, so a
+// replay whose lookups all agree truncates resident positions only.
+func replayHistory(ops []histOp, want []histAnswer, capacity int) int {
+	b := NewRefHistoryBuffer(capacity)
+	for i, o := range ops {
+		seq := b.Insert(o.src, o.tgt, o.kind)
+		if old, ok := b.Lookup(o.tgt); (histAnswer{old, ok}) != want[i] {
+			return i
+		}
+		b.SetHash(o.tgt, seq)
+		if o.truncate {
+			b.TruncateAfter(o.pos)
+		}
+	}
+	return -1
 }
 
 // TestDiffPooledScratch runs every (SPEC workload, selector) pair twice —

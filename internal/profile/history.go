@@ -1,6 +1,11 @@
 package profile
 
-import "repro/internal/isa"
+import (
+	"math"
+	"math/bits"
+
+	"repro/internal/isa"
+)
 
 // EntryKind classifies a history-buffer entry. LEI's buffer records every
 // taken control transfer the simulated system performs outside native
@@ -38,6 +43,19 @@ type HistoryEntry struct {
 	seq uint64
 }
 
+// Span is the closed interval [Lo, Hi] of history capacities.
+type Span struct{ Lo, Hi int }
+
+// FullSpan holds every capacity: the span of a run that never consulted a
+// history buffer.
+var FullSpan = Span{0, math.MaxInt}
+
+// Contains reports whether capacity c lies in the span.
+func (s Span) Contains(c int) bool { return s.Lo <= c && c <= s.Hi }
+
+// Intersect returns the capacities in both spans.
+func (s Span) Intersect(o Span) Span { return Span{max(s.Lo, o.Lo), min(s.Hi, o.Hi)} }
+
 // HistoryBuffer is the circular buffer of the most recently taken branches,
 // plus the hash table of branch targets currently in the buffer, exactly as
 // required by the LEI algorithm (paper Figure 5). The buffer supports O(1)
@@ -55,24 +73,38 @@ type HistoryEntry struct {
 // LEI hot path two bounds-checked array accesses instead of map operations.
 // Cells store seq+1 so the zero value means "absent" and the table can be
 // grown (or pre-sized via EnsureAddrCap) without initialization.
+//
+// The buffer also measures its span: the capacities under which the same
+// operations would have got the same answers. Let hw be the highest next
+// ever reached. Eviction happens only when next == hw (after a truncation,
+// next < hw and fewer than capacity entries are resident), so under any
+// capacity C, first == max(0, hw−C), and position seq is resident exactly
+// when seq ≥ hw−C. Residency is the only thing the capacity decides, and
+// only Lookup asks it of a position the caller did not just get from
+// Lookup: a hit at seq holds for every C ≥ hw−seq, and a miss because seq
+// was evicted holds for every C < hw−seq. A dangling cell misses under
+// every capacity. Span intersects those bounds over the run.
 type HistoryBuffer struct {
 	//lint:keep ring storage; first/next make all slots logically absent after Reset
-	slots   []HistoryEntry
-	hash    []uint64 // target -> seq+1 of most recent occurrence (0 = none)
-	first   uint64   // seq of oldest resident entry
-	next    uint64   // seq the next insert will receive
-	inserts uint64
+	slots []HistoryEntry // a power of two at or above capacity
+	//lint:keep fixed by Resize with slots
+	mask uint64 // len(slots) - 1
+	//lint:keep fixed by Resize with slots
+	capacity int
+	hash     []uint64 // target -> seq+1 of most recent occurrence (0 = none)
+	first    uint64   // seq of oldest resident entry
+	next     uint64   // seq the next insert will receive
+	hw       uint64   // highest next ever reached
+	lo, hi   int      // the span proved so far
+	inserts  uint64
 }
 
 // NewHistoryBuffer returns a buffer holding at most capacity entries.
 // The paper uses a capacity of 500.
 func NewHistoryBuffer(capacity int) *HistoryBuffer {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &HistoryBuffer{
-		slots: make([]HistoryEntry, capacity),
-	}
+	b := &HistoryBuffer{}
+	b.Resize(capacity)
+	return b
 }
 
 // EnsureAddrCap grows the target table to cover addresses [0, n), so a run
@@ -89,7 +121,7 @@ func (b *HistoryBuffer) EnsureAddrCap(n int) {
 }
 
 // Cap returns the buffer capacity.
-func (b *HistoryBuffer) Cap() int { return len(b.slots) }
+func (b *HistoryBuffer) Cap() int { return b.capacity }
 
 // Len returns the number of resident entries.
 func (b *HistoryBuffer) Len() int { return int(b.next - b.first) }
@@ -97,28 +129,30 @@ func (b *HistoryBuffer) Len() int { return int(b.next - b.first) }
 // Inserts returns the total number of Insert calls.
 func (b *HistoryBuffer) Inserts() uint64 { return b.inserts }
 
+// Span returns the capacities under which every Lookup since the last Reset
+// or Resize would have answered as it did (see HistoryBuffer). It always
+// holds Cap().
+func (b *HistoryBuffer) Span() Span { return Span{b.lo, b.hi} }
+
 func (b *HistoryBuffer) slot(seq uint64) *HistoryEntry {
-	return &b.slots[seq%uint64(len(b.slots))]
+	return &b.slots[seq&b.mask]
 }
 
 // Insert appends a taken transfer to the buffer, evicting the oldest entry
-// when full, and returns the new entry's position.
+// when full, and returns the new entry's position. An evicted entry's hash
+// cell is left pointing below first: Lookup misses on it as it would on a
+// cleared cell, and reads the eviction distance from it.
 //
 //lint:hotpath per-taken-branch under LEI
 func (b *HistoryBuffer) Insert(src, tgt isa.Addr, kind EntryKind) uint64 {
 	b.inserts++
-	if b.next-b.first == uint64(len(b.slots)) {
-		// Evict the oldest entry; drop its hash reference if it is still
-		// the most recent occurrence of its target.
-		old := b.slot(b.first)
-		if int(old.Tgt) < len(b.hash) && b.hash[old.Tgt] == b.first+1 {
-			b.hash[old.Tgt] = 0
-		}
+	if b.next-b.first == uint64(b.capacity) {
 		b.first++
 	}
 	seq := b.next
 	*b.slot(seq) = HistoryEntry{Src: src, Tgt: tgt, Kind: kind, seq: seq}
 	b.next++
+	b.hw = max(b.hw, b.next)
 	return seq
 }
 
@@ -128,7 +162,8 @@ func (b *HistoryBuffer) resident(seq uint64) bool { return seq >= b.first && seq
 // Lookup returns the position of the most recent resident occurrence of tgt
 // strictly before the last inserted entry, mirroring Figure 5 line 6: the
 // hash is consulted after the new branch has been inserted, so a hit means
-// the target completed a cycle.
+// the target completed a cycle. A hit or an evicted occurrence narrows the
+// span.
 //
 //lint:hotpath per-taken-branch under LEI
 func (b *HistoryBuffer) Lookup(tgt isa.Addr) (uint64, bool) {
@@ -140,7 +175,13 @@ func (b *HistoryBuffer) Lookup(tgt isa.Addr) (uint64, bool) {
 		return 0, false
 	}
 	seq := cell - 1
-	if !b.resident(seq) {
+	if seq < b.first {
+		// Evicted: every capacity below hw−seq evicted it too.
+		b.hi = min(b.hi, int(b.hw-seq)-1)
+		return 0, false
+	}
+	if seq >= b.next {
+		// Truncated away.
 		return 0, false
 	}
 	e := b.slot(seq)
@@ -152,6 +193,7 @@ func (b *HistoryBuffer) Lookup(tgt isa.Addr) (uint64, bool) {
 		// The reference is to the entry just inserted; no older occurrence.
 		return 0, false
 	}
+	b.lo = max(b.lo, int(b.hw-seq))
 	return seq, true
 }
 
@@ -230,28 +272,35 @@ func (b *HistoryBuffer) TruncateAfter(seq uint64) {
 	b.next = seq + 1
 }
 
-// Reset empties the buffer, keeping the backing tables for reuse.
+// Reset empties the buffer, keeping the backing tables for reuse, and
+// re-arms its span.
 func (b *HistoryBuffer) Reset() {
 	clear(b.hash)
 	b.first = 0
 	b.next = 0
+	b.hw = 0
+	b.lo, b.hi = FullSpan.Lo, FullSpan.Hi
 	b.inserts = 0
 }
 
 // Resize empties the buffer and re-targets it to a new capacity. The slot
-// array is reallocated only when the capacity outgrows it; a capacity that
-// fits reslices it, so pooled selectors re-armed across a HistoryCap sweep
-// reuse their storage. Stale slots need no clearing: residency is defined by
-// first and next and Reset clears the hash, so every slot a lookup can reach
-// is rewritten in the new run.
+// array, the next power of two at or above the capacity so a slot is one
+// mask away, is reallocated only when it outgrows the array it has; a
+// smaller one reslices it, so pooled selectors re-armed across a HistoryCap
+// sweep reuse their storage. Stale slots need no clearing: residency is
+// defined by first and next and Reset clears the hash, so every slot a
+// lookup can reach is rewritten in the new run.
 func (b *HistoryBuffer) Resize(capacity int) {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	if capacity <= cap(b.slots) {
-		b.slots = b.slots[:capacity]
+	n := 1 << bits.Len(uint(capacity-1))
+	if n <= cap(b.slots) {
+		b.slots = b.slots[:n]
 	} else {
-		b.slots = make([]HistoryEntry, capacity)
+		b.slots = make([]HistoryEntry, n)
 	}
+	b.mask = uint64(n - 1)
+	b.capacity = capacity
 	b.Reset()
 }

@@ -274,16 +274,20 @@ func TestHistoryBufferModel(t *testing.T) {
 }
 
 // TestHistoryBufferResizeReusesSlots pins Resize's storage rule across a
-// HistoryCap sweep: only growth allocates, a shrink reslices the slot array
-// it already has, and a shrunk buffer whose slots still hold a larger run's
+// HistoryCap sweep: the slot array is the next power of two at or above the
+// capacity, only growth past it allocates, a shrink reslices the array it
+// already has, and a shrunk buffer whose slots still hold a larger run's
 // entries answers Lookup, At and AppendAfter exactly as a fresh buffer of
 // the same capacity does.
 func TestHistoryBufferResizeReusesSlots(t *testing.T) {
 	b := NewHistoryBuffer(50)
+	if b.Cap() != 50 || len(b.slots) != 64 {
+		t.Fatalf("capacity 50: cap %d over %d slots; want 50 over 64", b.Cap(), len(b.slots))
+	}
 	small := &b.slots[0]
 	b.Resize(1000)
-	if b.Cap() != 1000 || &b.slots[0] == small {
-		t.Fatalf("growth to 1000: cap %d, same array %v; want a new 1000-slot array", b.Cap(), &b.slots[0] == small)
+	if b.Cap() != 1000 || len(b.slots) != 1024 || &b.slots[0] == small {
+		t.Fatalf("growth to 1000: cap %d over %d slots, same array %v; want a new 1024-slot array", b.Cap(), len(b.slots), &b.slots[0] == small)
 	}
 	large := &b.slots[0]
 	if allocs := testing.AllocsPerRun(10, func() {
@@ -293,8 +297,9 @@ func TestHistoryBufferResizeReusesSlots(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("50→1000→50 within the grown array: %v allocs, want 0", allocs)
 	}
-	if b.Cap() != 50 || &b.slots[0] != large {
-		t.Fatalf("shrink to 50: cap %d, same array %v; want the 1000-slot array resliced", b.Cap(), &b.slots[0] == large)
+	if b.Cap() != 50 || len(b.slots) != 64 || cap(b.slots) != 1024 || &b.slots[0] != large {
+		t.Fatalf("shrink to 50: cap %d over %d of %d slots, same array %v; want the 1024-slot array resliced to 64",
+			b.Cap(), len(b.slots), cap(b.slots), &b.slots[0] == large)
 	}
 
 	// Fill the large array, shrink, and drive the shrunk and a fresh buffer
@@ -340,5 +345,45 @@ func TestHistoryBufferResizeReusesSlots(t *testing.T) {
 			b.TruncateAfter(old)
 			fresh.TruncateAfter(old)
 		}
+	}
+}
+
+// TestHistoryBufferSpan pins how each lookup narrows the span: a hit at
+// distance d proves every capacity ≥ d, a miss on an entry evicted at
+// distance d every capacity < d, a dangling cell nothing; Resize re-arms it.
+func TestHistoryBufferSpan(t *testing.T) {
+	b := NewHistoryBuffer(4)
+	step := func(tgt isa.Addr) (uint64, bool) {
+		seq := b.Insert(0, tgt, KindInterp)
+		old, ok := b.Lookup(tgt)
+		b.SetHash(tgt, seq)
+		return old, ok
+	}
+	if b.Span() != FullSpan {
+		t.Fatalf("fresh span %+v, want every capacity", b.Span())
+	}
+	step(1)
+	step(2)
+	step(3)
+	// hw is 4 and the hit is at position 0: capacities of 4 and up hold it.
+	if _, ok := step(1); !ok || b.Span() != (Span{4, FullSpan.Hi}) {
+		t.Fatalf("hit at distance 4: span %+v, want [4, max]", b.Span())
+	}
+	step(4)
+	step(5)
+	step(6)
+	step(7)
+	// hw is 9 and the last 1, at position 3, is evicted: capacities of 6
+	// and up would still hold it.
+	if _, ok := step(1); ok || b.Span() != (Span{4, 5}) {
+		t.Fatalf("miss on the 1 evicted at distance 6: span %+v, want [4, 5]", b.Span())
+	}
+	b.TruncateAfter(b.Last() - 2) // drops 7 and the new 1
+	if _, ok := step(1); ok || b.Span() != (Span{4, 5}) {
+		t.Fatalf("miss on a truncated 1: span %+v, want [4, 5]", b.Span())
+	}
+	b.Resize(4)
+	if b.Span() != FullSpan {
+		t.Fatalf("span after Resize %+v, want every capacity", b.Span())
 	}
 }

@@ -83,8 +83,9 @@ const (
 // that selector reads; it ignores every other field. Two cells of one
 // program whose selector, read fields and cache bound agree report the
 // same, so the engine answers the later one with the earlier one's report
-// (see engine.process). TestShareProjectionCoversParams perturbs every
-// ignored field and requires byte-equal reports.
+// (see engine.process); HistoryCap need only lie in the earlier run's
+// history span. TestShareProjectionCoversParams perturbs every ignored
+// field, and HistoryCap within the span, and requires byte-equal reports.
 var paramReads = map[string]paramSet{
 	NET:      netReads,
 	MojoNET:  netReads,

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/dynopt"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/tracestream"
 	"repro/internal/vm"
@@ -86,6 +88,27 @@ func perturbations(base core.Params, f int) []core.Params {
 	return out
 }
 
+// spanPerturbations returns the points that differ from base in
+// HistoryCap alone and lie inside span, the span of base's run: its low
+// end, the capacity halfway between it and base's, and its high end or
+// 2·cap+1 when that is lower.
+func spanPerturbations(base core.Params, span profile.Span) []core.Params {
+	c := historyCap(base)
+	if !span.Contains(c) {
+		panic(fmt.Sprintf("span %+v misses its own capacity %d", span, c))
+	}
+	var out []core.Params
+	lo, hi := max(span.Lo, 1), min(span.Hi, 2*c+1)
+	for _, h := range []int{lo, (lo + c) / 2, hi} {
+		if h != c {
+			p := base
+			p.HistoryCap = h
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // refSelectors builds difftest's frozen reference for each selector name
 // that has one, as NewSelector configures the production selector.
 var refSelectors = map[string]func(core.Params) core.Selector{
@@ -104,7 +127,10 @@ var refSelectors = map[string]func(core.Params) core.Selector{
 // every SPEC workload and on random programs, for the production selector
 // (pooled and Reset, as shards run it) and for difftest's frozen
 // reference, which must also report what the production selector does.
-// Adaptive reads every field, so only that last check applies to it.
+// A selector that reads HistoryCap must report its run's history span, and
+// moving HistoryCap to capacities inside that span must leave its reports
+// byte-equal too, for both. Adaptive reads every field, so only the
+// reference and span checks apply to it.
 func TestShareProjectionCoversParams(t *testing.T) {
 	typ := reflect.TypeOf(core.Params{})
 	if n := bits.OnesCount16(uint16(allParams)); n != typ.NumField() {
@@ -135,8 +161,16 @@ func TestShareProjectionCoversParams(t *testing.T) {
 		t.Fatal("projecting onto every field changes the params")
 	}
 	for _, name := range SelectorNames() {
-		if _, ok := paramReads[name]; !ok {
+		reads, ok := paramReads[name]
+		if !ok {
 			t.Errorf("selector %q has no row in paramReads", name)
+		}
+		sel, err := NewSelector(name, core.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sel.(core.HistorySpanner); reads&pHistoryCap != 0 && !ok {
+			t.Errorf("selector %q reads HistoryCap but reports no history span", name)
 		}
 	}
 
@@ -178,6 +212,22 @@ func TestShareProjectionCoversParams(t *testing.T) {
 						t.Fatalf("%s: frozen reference reports\n%s\nwant\n%s", in.name, ref, want)
 					}
 				}
+				if reads&pHistoryCap != 0 {
+					span := shard.selectors[name].(core.HistorySpanner).HistorySpan()
+					for _, p := range spanPerturbations(in.base, span) {
+						if got := report(p); got != want {
+							t.Fatalf("%s: %s at HistoryCap %d, inside the span %+v of its run at %d, reports\n%s\nwant\n%s",
+								in.name, name, p.HistoryCap, span, in.base.HistoryCap, got, want)
+						}
+						if newRef == nil {
+							continue
+						}
+						if got := refReport(p); got != want {
+							t.Fatalf("%s: the frozen %s at HistoryCap %d, inside the span %+v of its run at %d, reports\n%s\nwant\n%s",
+								in.name, name, p.HistoryCap, span, in.base.HistoryCap, got, want)
+						}
+					}
+				}
 				for _, f := range ignored {
 					for _, p := range perturbations(in.base, f) {
 						if got := report(p); got != want {
@@ -195,5 +245,52 @@ func TestShareProjectionCoversParams(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHistorySpanSharing pins how the engine matches HistoryCap: by the
+// effective capacity against the leader's span. HistoryCap 0 runs at the
+// paper's 500, so the cells at 0 and at 500 of each selector that reads it
+// share; a capacity just below the span of the run at 0 (and just above it,
+// when the span is bounded) does not, whether or not it would report the
+// same. Every grid must also match the one-byte-budget live reference,
+// which shares nothing.
+func TestHistorySpanSharing(t *testing.T) {
+	const workload = "gcc"
+	withCap := func(c int) Config {
+		p := core.DefaultParams()
+		p.HistoryCap = c
+		return Config{Params: p}
+	}
+	run := func(g Grid, wantShared uint64) {
+		t.Helper()
+		live, _ := runMemoGrid(t, g, 1, 1)
+		got, st := runMemoGrid(t, g, 1, 0)
+		diffMemoRuns(t, live, got)
+		if st.Shared != wantShared {
+			t.Errorf("%v at HistoryCap %d, %d: %d jobs shared, want %d", g.Selectors,
+				g.Configs[0].Params.HistoryCap, g.Configs[1].Params.HistoryCap, st.Shared, wantShared)
+		}
+	}
+	sels := []string{LEI, LEIComb, Adaptive}
+	run(Grid{Workloads: []string{workload}, Scale: testScale, Selectors: sels, Configs: []Config{withCap(0), withCap(500)}}, 3)
+
+	p := workloads.MustGet(workload).Build(testScale)
+	shard := NewShard()
+	for _, name := range sels {
+		if _, err := shard.Run(p, Job{Workload: workload, Selector: name}); err != nil {
+			t.Fatal(err)
+		}
+		span := shard.selectors[name].(core.HistorySpanner).HistorySpan()
+		if span.Lo <= 1 {
+			t.Fatalf("%s on %s: span %+v has no capacity below it to test", name, workload, span)
+		}
+		outside := []int{span.Lo - 1}
+		if span.Hi < math.MaxInt {
+			outside = append(outside, span.Hi+1)
+		}
+		for _, c := range outside {
+			run(Grid{Workloads: []string{workload}, Scale: testScale, Selectors: []string{name}, Configs: []Config{withCap(0), withCap(c)}}, 0)
+		}
 	}
 }

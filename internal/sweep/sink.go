@@ -82,14 +82,47 @@ type OrderedSink struct {
 // expected (the low end of the range being produced); window bounds how far
 // ahead of the delivery frontier a producer may run.
 func NewOrderedSink(base, window int, sink ResultSink) *OrderedSink {
-	d := &OrderedSink{
-		buf:   make([]Result, window),
-		ready: make([]bool, window),
-		next:  base,
-		sink:  sink,
-	}
+	d := &OrderedSink{}
 	d.cond.L = &d.mu
+	d.rearm(base, window, sink)
 	return d
+}
+
+// rearm re-targets an idle ring to a new run, reslicing its slots when the
+// window fits them.
+func (d *OrderedSink) rearm(base, window int, sink ResultSink) {
+	if window <= cap(d.buf) {
+		d.buf, d.ready = d.buf[:window], d.ready[:window]
+		clear(d.ready)
+	} else {
+		d.buf, d.ready = make([]Result, window), make([]bool, window)
+	}
+	d.next, d.cancelled, d.sink = base, false, sink
+}
+
+// ringPool holds the idle engine rings, as shardPool holds shards: every
+// run re-arms one (acquireRing) and returns it when it ends (releaseRing),
+// so a warm process allocates no ring per RunGrid or RunRange. A sweepd
+// worker runs sessions concurrently, so the rings cannot live on its one
+// Runner.
+var ringPool idleList[*OrderedSink]
+
+// acquireRing pops an idle ring re-armed for a run, building one when none
+// is idle.
+func acquireRing(base, window int, sink ResultSink) *OrderedSink {
+	d, ok := ringPool.pop()
+	if !ok {
+		return NewOrderedSink(base, window, sink)
+	}
+	d.rearm(base, window, sink)
+	return d
+}
+
+// releaseRing returns the ring of a finished run to the idle list. Nothing
+// may touch it afterwards: no producer, and no Cancel still on its way.
+func releaseRing(d *OrderedSink) {
+	d.sink = nil
+	ringPool.push(d)
 }
 
 // Deliver hands one finished result to the sink, in index order, blocking

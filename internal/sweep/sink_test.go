@@ -1,10 +1,15 @@
 package sweep
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/core"
 )
 
 // deliverPermutation hands indices [base, base+n) to an OrderedSink in the
@@ -136,5 +141,50 @@ func TestOrderedSinkCancelUnblocks(t *testing.T) {
 	d.Deliver(Result{Index: 0}) // post-cancel deliveries are dropped too
 	if len(got) != 0 {
 		t.Fatalf("cancelled ring delivered %v", got)
+	}
+}
+
+// TestWarmRunReusesRing pins the engine's ring free list: once a run has
+// returned its reorder ring, the next run on a warm Runner re-arms that
+// ring instead of allocating one, so a warm pass allocates less than one
+// ring's slots.
+func TestWarmRunReusesRing(t *testing.T) {
+	var cfgs []Config
+	for th := 4; th < 20; th++ {
+		p := core.DefaultParams()
+		p.NETThreshold = th
+		cfgs = append(cfgs, Config{Params: p})
+	}
+	g := Grid{Workloads: []string{"gzip"}, Scale: testScale, Selectors: PaperSelectors(), Configs: cfgs}
+	r := NewRunner()
+	run := func() {
+		t.Helper()
+		var sink CountingSink
+		if err := r.RunGrid(context.Background(), g, Options{Shards: 1}, &sink); err != nil {
+			t.Fatal(err)
+		}
+		if sink.N != g.NumJobs() {
+			t.Fatalf("delivered %d of %d jobs", sink.N, g.NumJobs())
+		}
+	}
+	run()
+	run()
+	idle := ringPool.idle[len(ringPool.idle)-1]
+	slots := &idle.buf[0]
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if got := ringPool.idle[len(ringPool.idle)-1]; got != idle || &got.buf[0] != slots {
+		t.Error("a warm run left a different ring on the idle list")
+	}
+	ring := uint64(g.NumJobs()) * uint64(unsafe.Sizeof(Result{}))
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= ring {
+		t.Errorf("a warm run allocated %d bytes, want less than one %d-byte ring", perRun, ring)
+	} else {
+		t.Logf("a warm run allocated %d bytes; a ring's slots are %d", perRun, ring)
 	}
 }

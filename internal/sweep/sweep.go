@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynopt"
 	"repro/internal/metrics"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/tracestream"
 	"repro/internal/workloads"
@@ -150,17 +151,20 @@ type Shard struct {
 	reader tracestream.Reader
 	rec    tracestream.MemRecorder
 
-	// base is the first job of the chunk the shard is running, and cells
-	// and reports hold each of its jobs' sharing key and report, indexed
-	// from base (see engine.process). Fixed arrays: a chunk holds at most
-	// maxChunk jobs.
+	// base is the first job of the chunk the shard is running, and cells,
+	// reports and spans hold each of its jobs' sharing key, report and
+	// history span, indexed from base (see engine.process). Fixed arrays:
+	// a chunk holds at most maxChunk jobs.
 	base    int
 	cells   [maxChunk]cellKey
 	reports [maxChunk]metrics.Report
+	spans   [maxChunk]profile.Span
 }
 
-// cellKey is what a cell's report depends on besides its program and
-// selector: the parameters its selector reads and its cache bound.
+// cellKey is what a cell's report depends on besides its program, its
+// selector and its history capacity: the other parameters its selector
+// reads and its cache bound. The capacity is matched by span instead (see
+// engine.process).
 type cellKey struct {
 	params core.Params
 	limit  int
@@ -338,34 +342,48 @@ func NewRunnerWithBudget(budgetBytes int64) *Runner {
 	return &Runner{store: tracestream.NewStore(budgetBytes)}
 }
 
-// shardPool is the process-wide list of idle shards. Every engine worker
-// pops one on start and pushes it back on exit, so the list holds at most
-// the peak number of shards that ran at once. It is a plain list, not a
-// sync.Pool: a sync.Pool drops its entries at every garbage collection, and
-// a single pass of a grid triggers several.
-var shardPool struct {
+// idleList is a process-wide list of idle pooled values. It is a plain
+// list, not a sync.Pool: a sync.Pool drops its entries at every garbage
+// collection, and a single pass of a grid triggers several.
+type idleList[T any] struct {
 	mu   sync.Mutex
-	idle []*Shard
+	idle []T
 }
+
+// pop removes the most recently pushed value; ok is false when none is
+// idle.
+func (l *idleList[T]) pop() (x T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.idle); n > 0 {
+		x, ok = l.idle[n-1], true
+		l.idle = l.idle[:n-1]
+	}
+	return x, ok
+}
+
+// push adds an idle value.
+func (l *idleList[T]) push(x T) {
+	l.mu.Lock()
+	l.idle = append(l.idle, x)
+	l.mu.Unlock()
+}
+
+// shardPool holds the idle shards. Every engine worker pops one on start
+// and pushes it back on exit, so the list holds at most the peak number of
+// shards that ran at once.
+var shardPool idleList[*Shard]
 
 // acquireShard pops an idle shard, building one when none is idle.
 func acquireShard() *Shard {
-	shardPool.mu.Lock()
-	defer shardPool.mu.Unlock()
-	if n := len(shardPool.idle); n > 0 {
-		s := shardPool.idle[n-1]
-		shardPool.idle = shardPool.idle[:n-1]
+	if s, ok := shardPool.pop(); ok {
 		return s
 	}
 	return NewShard()
 }
 
 // releaseShard returns a shard to the idle list.
-func releaseShard(s *Shard) {
-	shardPool.mu.Lock()
-	shardPool.idle = append(shardPool.idle, s)
-	shardPool.mu.Unlock()
-}
+func releaseShard(s *Shard) { shardPool.push(s) }
 
 // MemoStats snapshots the runner's corpus-store counters (zero before any
 // run).
@@ -463,17 +481,24 @@ func (r *Runner) newEngine(ctx context.Context, g Grid, lo, hi int, opts Options
 	first := e.chunkOf(lo)
 	e.next.Store(int64(first))
 	e.shards = min(shards, e.chunkOf(hi-1)-first+1)
-	e.del = NewOrderedSink(lo, e.shards*chunk, sink)
+	e.del = acquireRing(lo, e.shards*chunk, sink)
 	return e
 }
 
 // drive runs do on every cell of the range, one worker per shard, and
-// returns the run's error; ctx is the caller's, the parent of e.ctx.
+// returns the run's error; ctx is the caller's, the parent of e.ctx. The
+// ring goes back to the idle list unless a cancellation may still be
+// waking it.
 func (e *engine) drive(ctx context.Context, do func(i int, shard *Shard)) error {
 	defer e.cancel()
 	// Wake shards blocked on delivery backpressure when the run is
 	// cancelled (externally or by a failing job).
-	defer context.AfterFunc(e.ctx, e.del.Cancel)()
+	stop := context.AfterFunc(e.ctx, e.del.Cancel)
+	defer func() {
+		if stop() {
+			releaseRing(e.del)
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < e.shards; i++ {
 		wg.Add(1)
@@ -522,14 +547,17 @@ func (e *engine) chunkOf(i int) int {
 }
 
 // process runs job i, the shard's next job in its chunk. A job whose
-// leader — the chunk's lowest job of the same selector, the same params
-// fields that selector reads and the same cache bound — ran before it is
-// answered with a copy of the leader's report and simulates nothing: the
-// chunk is one workload's, so the two cells replay one event stream under
-// selectors that decide alike. It shares only while the store holds the
-// program's corpus, so a run whose corpora the store rejects or evicts
-// simulates every job: the one-byte-budget live reference stays an
-// independent oracle for paramReads.
+// leader ran before it is answered with a copy of the leader's report and
+// simulates nothing. The leader is the chunk's lowest simulated job of the
+// same selector, the same cache bound and the same values of the params
+// fields that selector reads, HistoryCap aside, whose history span holds
+// this job's effective HistoryCap: the chunk is one workload's, so the two
+// cells replay one event stream under selectors that decide alike, and
+// the span is every capacity under which the leader's run would have run
+// as it did. It shares only while the store holds the program's corpus, so
+// a run whose corpora the store rejects or evicts simulates every job: the
+// one-byte-budget live reference stays an independent oracle for
+// paramReads and the spans.
 //
 //lint:hotpath per-job engine loop
 func (e *engine) process(i int, shard *Shard) {
@@ -540,25 +568,58 @@ func (e *engine) process(i int, shard *Shard) {
 		return
 	}
 	k := i - shard.base
-	shard.cells[k] = cellKey{e.reads[i%len(e.grid.Selectors)].project(job.Params), job.CacheLimitBytes}
+	reads := e.reads[i%len(e.grid.Selectors)]
+	shard.cells[k] = cellKey{(reads &^ pHistoryCap).project(job.Params), job.CacheLimitBytes}
 	var rep metrics.Report
-	if l := shard.leader(k, len(e.grid.Selectors)); l < k && e.runner.store.Holds(src.Key) {
+	span := noSpan
+	if l := shard.leader(k, len(e.grid.Selectors), historyCap(job.Params)); l < k && e.runner.store.Holds(src.Key) {
 		rep = shard.reports[l]
 		e.runner.shared.Add(1)
 	} else if rep, err = e.dispatch(shard, src, job); err != nil {
 		e.fail(fmt.Errorf("sweep: %s under %s: %w", job.Workload, job.Selector, err))
 		return
+	} else {
+		span = shard.span(job, reads)
 	}
 	shard.reports[k] = rep
+	shard.spans[k] = span
 	e.del.Deliver(Result{Index: i, Job: job, Report: rep})
+}
+
+// noSpan holds no capacity: a shared job stores it, so it never leads.
+var noSpan = profile.Span{Lo: 1, Hi: 0}
+
+// historyCap is the capacity a selector's history buffer gets from p:
+// HistoryCap, or the paper's default when it is unset.
+func historyCap(p core.Params) int {
+	if p.HistoryCap > 0 {
+		return p.HistoryCap
+	}
+	return core.DefaultParams().HistoryCap
+}
+
+// span returns the history span of the job the shard just simulated: the
+// one its pooled selector reports when the selector reads HistoryCap, and
+// every capacity when it does not. A selector that reads HistoryCap but
+// reports no span holds its own capacity alone.
+func (s *Shard) span(job Job, reads paramSet) profile.Span {
+	if reads&pHistoryCap == 0 {
+		return profile.FullSpan
+	}
+	if h, ok := s.selectors[job.Selector].(core.HistorySpanner); ok {
+		return h.HistorySpan()
+	}
+	c := historyCap(job.Params)
+	return profile.Span{Lo: c, Hi: c}
 }
 
 // leader returns the chunk index of the lowest job of the running chunk
 // whose selector (the same position in a grid of nsel selectors) and
-// sharing key match job k's; k itself when none before it does.
-func (s *Shard) leader(k, nsel int) int {
+// sharing key match job k's and whose span holds job k's effective history
+// capacity; k itself when none before it does.
+func (s *Shard) leader(k, nsel, capacity int) int {
 	for l := k % nsel; l < k; l += nsel {
-		if s.cells[l] == s.cells[k] {
+		if s.cells[l] == s.cells[k] && s.spans[l].Contains(capacity) {
 			return l
 		}
 	}

@@ -60,11 +60,13 @@ func workerRunners(t *testing.T, n int) ([]string, []*sweep.Runner, func()) {
 
 // TestSharedCellsCountRemote pins the counts of a remote-warm-shaped grid:
 // the twelve SPEC workloads × two HistoryCap values × every paper selector
-// and adaptive. net and net+comb ignore HistoryCap, so each workload's 10
-// cells hold 8 distinct ones. Run locally, the distinct cells are exactly
-// the store's lookups and the rest are shared; run on two loopback workers,
-// whose ranges are whole workloads, the two workers' counts add up to the
-// same.
+// and adaptive. net and net+comb ignore HistoryCap, and lei, lei+comb and
+// adaptive share where the span of their run at 100 holds 500, so 64 of the
+// 120 cells simulate (it was 96 when only the selectors that ignore
+// HistoryCap shared). Run locally, the simulations are exactly the store's
+// lookups and the rest are shared, and the reports match the one-byte-budget
+// live run, which shares nothing; run on two loopback workers, whose ranges
+// are whole workloads, the two workers' counts add up to the same.
 func TestSharedCellsCountRemote(t *testing.T) {
 	var cfgs []sweep.Config
 	for _, h := range []int{100, 500} {
@@ -78,8 +80,7 @@ func TestSharedCellsCountRemote(t *testing.T) {
 		Selectors: experiments.AllSelectors(),
 		Configs:   cfgs,
 	}
-	distinct := uint64(len(g.Workloads) * 8)
-	shared := uint64(g.NumJobs()) - distinct
+	const distinct, shared = 64, 56
 
 	local := sweep.NewRunner()
 	var want sweep.CollectSink
@@ -90,6 +91,13 @@ func TestSharedCellsCountRemote(t *testing.T) {
 	if n := st.Hits + st.Misses + st.Fallbacks; n != distinct || local.Shared() != shared {
 		t.Errorf("local: %v shared=%d; want hits+misses+fallbacks = %d and shared=%d",
 			st, local.Shared(), distinct, shared)
+	}
+	var live sweep.CollectSink
+	if err := sweep.NewRunnerWithBudget(1).RunGrid(context.Background(), g, sweep.Options{Shards: 2}, &live); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live.Results, want.Results) {
+		t.Error("local results differ from the live run")
 	}
 
 	addrs, runners, stop := workerRunners(t, 2)

@@ -16,7 +16,8 @@
 # one-byte corpus budget, so every job runs live — vs memo=on; the jobs/s
 # ratio is the memoization speedup; historycap=warm replays a HistoryCap
 # grid on a warm Runner, where the engine answers the cells net and
-# net+comb share), BenchmarkLEI (the
+# net+comb share and those whose HistoryCap lies in an earlier run's
+# history span), BenchmarkLEI (the
 # pooled-scratch LEI selection path), BenchmarkAdaptive (the adaptive
 # meta-selector on the phased workload — detector accounting plus policy
 # switches), BenchmarkCombine (the trace-combination selectors over

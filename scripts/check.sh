@@ -119,11 +119,13 @@ echo "== distributed smoke run: 2 loopback sweepd workers, jsonl diff =="
 # The trace:<path> cell rides along: loopback workers share this
 # filesystem, so the remote replay must match the local one byte for
 # byte like every other cell.
-# historycap and net+comb give the grid cells that share a report (net and
-# net+comb ignore HistoryCap), so both diffs also pin shared cells: the
-# local run and the memoizing worker answer them from an earlier cell, and
-# the -memobudget 1 worker, which holds no corpus, simulates every one.
-smokegrid="workloads=gzip,vpr,phased,trace:$workdir/gzip.trace;selectors=net,lei,net+comb,adaptive;scale=40;cachelimit=0,400;historycap=100,500"
+# historycap gives the grid cells that share a report: net and net+comb
+# ignore HistoryCap, and lei, lei+comb and adaptive share a capacity that
+# lies in the history span of an earlier cell's run. So both diffs also pin
+# shared cells of every selector: the local run and the memoizing worker
+# answer them from an earlier cell, and the -memobudget 1 worker, which
+# holds no corpus, simulates every one.
+smokegrid="workloads=gzip,vpr,phased,trace:$workdir/gzip.trace;selectors=net,lei,net+comb,lei+comb,adaptive;scale=40;cachelimit=0,400;historycap=50,100,500,1000"
 go build -o "$workdir/sweepd" ./cmd/sweepd
 go build -o "$workdir/sweep" ./cmd/sweep
 "$workdir/sweepd" -listen 127.0.0.1:0 >"$workdir/w1.log" & w1pid=$!
